@@ -20,7 +20,8 @@ __all__ = [
     "expm_action",
 ]
 
-#: supported diagonal Pade orders and their 1-norm scaling thresholds
+#: diagonal Pade orders and the largest 1-norm each approximates to double
+#: precision (Higham, SIMAX 2005); larger norms are scaled down for order 13
 _THETA = {
     3: 1.495585217958292e-2,
     5: 2.539398330063230e-1,
@@ -45,6 +46,11 @@ _PADE_COEFFS = {
     ),
 }
 
+#: Krylov stops once the iterate changes by at most this in relative norm
+_KRYLOV_TOL = 1e-12
+#: Krylov basis cap; reaching it unconverged raises ExpmConvergenceError
+_MAX_KRYLOV = 96
+
 
 class ExpmError(RuntimeError):
     """Failure inside a matrix-exponential evaluation."""
@@ -55,7 +61,7 @@ class ExpmOverflowError(ExpmError):
 
 
 class ExpmConvergenceError(ExpmError):
-    """Krylov iteration did not reach the requested tolerance.
+    """Krylov iteration did not converge within its basis cap.
 
     Attributes
     ----------
@@ -71,31 +77,26 @@ class ExpmConvergenceError(ExpmError):
 
 @dataclass(frozen=True)
 class ExpmOptions:
-    """Evaluation controls for :func:`expm` and :func:`expm_action`.
+    """Route choice for :func:`~sdemoments.moments_at` and
+    :func:`~sdemoments.propagate_grid`.
+
+    Passing no options lets the route follow the augmented size; passing
+    options forces the named route.
 
     Attributes
     ----------
     method : str
-        ``"dense"`` (Pade with scaling and squaring) or ``"action"``
-        (Krylov projection; only meaningful where a vector product
-        is requested).
-    pade_order : int
-        Diagonal Pade order; one of 3, 5, 7, 9, 13.
-    tolerance : float
-        Relative convergence tolerance of the Krylov iteration.
-    balance : bool
-        Apply a radix-2 similarity balancing before the Pade evaluation.
-        Off by default.
-    max_krylov : int
-        Iteration cap of the Krylov subspace; exceeding it raises
-        :class:`ExpmConvergenceError`.
+        ``"dense"`` (Pade with scaling and squaring of the whole augmented
+        matrix) or ``"action"`` (Krylov projection of its action on the
+        initial vector). Any other value raises ``ValueError``.
     """
 
-    method: str = "dense"
-    pade_order: int = 13
-    tolerance: float = 1e-12
-    balance: bool = False
-    max_krylov: int = 96
+    method: str
+
+    def __post_init__(self):
+        if self.method not in ("dense", "action"):
+            raise ValueError(
+                f'method must be "dense" or "action", got {self.method!r}')
 
 
 def _as_square(a, name: str = "a") -> np.ndarray:
@@ -105,38 +106,6 @@ def _as_square(a, name: str = "a") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
-
-
-def _balance(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Radix-2 Osborne balancing: returns (b, d) with b = inv(D) a D, D = diag(d)."""
-    b = a.copy()
-    n = b.shape[0]
-    scale = np.ones(n)
-    radix = 2.0
-    converged = False
-    while not converged:
-        converged = True
-        for i in range(n):
-            c = np.sum(np.abs(b[:, i])) - abs(b[i, i])
-            r = np.sum(np.abs(b[i, :])) - abs(b[i, i])
-            if c == 0.0 or r == 0.0:
-                continue
-            s = c + r
-            f = 1.0
-            while c < r / radix:
-                c *= radix
-                r /= radix
-                f *= radix
-            while c >= r * radix:
-                c /= radix
-                r *= radix
-                f /= radix
-            if c + r < 0.95 * s:
-                converged = False
-                scale[i] *= f
-                b[:, i] *= f
-                b[i, :] /= f
-    return b, scale
 
 
 def _pade_uv(a: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -172,8 +141,13 @@ def _pade_uv(a: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def expm(a, t: float = 1.0, options: ExpmOptions | None = None) -> np.ndarray:
+def expm(a, t: float = 1.0) -> np.ndarray:
     """Dense matrix exponential e^(a*t).
+
+    The diagonal Pade order is the smallest of 3, 5, 7, 9 whose threshold
+    in ``_THETA`` covers ||a t||_1; beyond those, order 13 is used after
+    scaling by 2^-s with the fewest squarings s that bring the norm under
+    its threshold (Higham's scaling and squaring, SIMAX 2005).
 
     Parameters
     ----------
@@ -181,9 +155,6 @@ def expm(a, t: float = 1.0, options: ExpmOptions | None = None) -> np.ndarray:
         Square matrix with finite entries.
     t : float
         Scalar factor multiplying ``a``; any finite real value.
-    options : ExpmOptions, optional
-        ``pade_order`` selects the diagonal approximant (default 13);
-        ``balance`` enables radix-2 similarity balancing.
 
     Returns
     -------
@@ -192,30 +163,23 @@ def expm(a, t: float = 1.0, options: ExpmOptions | None = None) -> np.ndarray:
         range raises :class:`ExpmOverflowError` rather than returning
         infinities.
     """
-    opts = options if options is not None else ExpmOptions()
     a = _as_square(a)
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
-    if opts.pade_order not in _THETA:
-        raise ValueError(
-            f"pade_order must be one of {sorted(_THETA)}, got {opts.pade_order!r}")
 
     b = a * t
-    scale = None
-    if opts.balance:
-        b, scale = _balance(b)
-
-    theta = _THETA[opts.pade_order]
     norm = np.linalg.norm(b, 1)
     if norm == 0.0:
         result = np.eye(b.shape[0])
     else:
+        order = min((m for m, theta in _THETA.items() if norm <= theta),
+                    default=13)
         squarings = 0
-        if norm > theta:
-            squarings = int(math.ceil(math.log2(norm / theta)))
+        if norm > _THETA[13]:
+            squarings = int(math.ceil(math.log2(norm / _THETA[13])))
             b = b / (2.0 ** squarings)
-        u, v = _pade_uv(b, opts.pade_order)
+        u, v = _pade_uv(b, order)
         try:
             result = np.linalg.solve(v - u, v + u)
         except np.linalg.LinAlgError as exc:
@@ -224,8 +188,6 @@ def expm(a, t: float = 1.0, options: ExpmOptions | None = None) -> np.ndarray:
             for _ in range(squarings):
                 result = result @ result
 
-    if scale is not None:
-        result = result * scale[:, None] / scale[None, :]
     if not np.all(np.isfinite(result)):
         raise ExpmOverflowError(
             "matrix exponential overflows double precision; "
@@ -233,18 +195,17 @@ def expm(a, t: float = 1.0, options: ExpmOptions | None = None) -> np.ndarray:
     return result
 
 
-def expm_action(a, v, t: float = 1.0, options: ExpmOptions | None = None) -> np.ndarray:
+def expm_action(a, v, t: float = 1.0) -> np.ndarray:
     """Product e^(a*t) @ v without forming the dense exponential.
 
     Builds an Arnoldi basis of the Krylov space span{v, a v, a^2 v, ...}
-    and exponentiates the small projected matrix. Iteration stops when
-    the iterate changes by less than ``options.tolerance`` in relative
+    and exponentiates the small projected matrix with :func:`expm`.
+    Iteration stops when the iterate changes by at most 1e-12 in relative
     norm, on exact invariance (happy breakdown), or when the basis spans
-    the full space. Hitting ``options.max_krylov`` first raises
+    the full space. Reaching 96 basis vectors first raises
     :class:`ExpmConvergenceError` carrying the last relative change as
-    its ``residual``.
+    its ``residual``; the dense exponential is then the remedy.
     """
-    opts = options if options is not None else ExpmOptions()
     a = _as_square(a)
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.shape[0] != a.shape[0]:
@@ -254,19 +215,16 @@ def expm_action(a, v, t: float = 1.0, options: ExpmOptions | None = None) -> np.
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
-    if not (opts.tolerance > 0.0):
-        raise ValueError(f"tolerance must be positive, got {opts.tolerance!r}")
 
     n = a.shape[0]
     beta = np.linalg.norm(v)
     if t == 0.0 or beta == 0.0:
         return v.copy()
 
-    cap = min(n, int(opts.max_krylov))
+    cap = min(n, _MAX_KRYLOV)
     basis = np.zeros((n, cap + 1))
     h = np.zeros((cap + 1, cap))
     basis[:, 0] = v / beta
-    dense_opts = ExpmOptions(pade_order=opts.pade_order)
 
     prev = None
     rel_change = np.inf
@@ -278,14 +236,14 @@ def expm_action(a, v, t: float = 1.0, options: ExpmOptions | None = None) -> np.
         h_next = np.linalg.norm(w)
         h[j + 1, j] = h_next
         m = j + 1
-        small = expm(h[:m, :m], t, dense_opts)
+        small = expm(h[:m, :m], t)
         u = beta * (basis[:, :m] @ small[:, 0])
 
         if h_next <= 1e-14 * max(1.0, np.abs(h[:m, :m]).max()):
             return u  # invariant subspace reached: projection is exact
         if prev is not None:
             rel_change = np.linalg.norm(u - prev) / max(np.linalg.norm(u), 1e-300)
-            if rel_change <= opts.tolerance:
+            if rel_change <= _KRYLOV_TOL:
                 return u
         prev = u
         basis[:, j + 1] = w / h_next
@@ -294,7 +252,7 @@ def expm_action(a, v, t: float = 1.0, options: ExpmOptions | None = None) -> np.
         return u  # full basis: projected problem equals the original
     raise ExpmConvergenceError(
         f"Krylov iteration did not converge within {cap} iterations "
-        f"(last relative change {rel_change:.3e}); raise max_krylov or "
-        f"loosen tolerance",
+        f"(last relative change {rel_change:.3e}); use the dense route, "
+        f'ExpmOptions(method="dense")',
         residual=rel_change,
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expm import ExpmOptions, expm, expm_action
+from .expm import ExpmError, ExpmOptions, expm, expm_action
 from .kron import kron_sum, kron_sum_vec, unvec, vec
 from .model import LinearSde, MomentState, SdeClass, classify
 
@@ -43,6 +43,9 @@ __all__ = [
 
 #: augmented dimension above which moments_at defaults to the Krylov path
 _DENSE_LIMIT = 400
+
+#: largest predicted relative error the additive formulation may return
+_ADDITIVE_MAX_ERROR = 1e-6
 
 Betas = namedtuple("Betas", ["beta1", "beta2", "beta3", "beta4", "beta5"])
 ScriptB = namedtuple("ScriptB", ["B1", "B2", "B3", "B4", "B5"])
@@ -311,15 +314,13 @@ def _elapsed(sde: LinearSde, t: float) -> float:
 
 
 def _wants_action(aug: AugmentedSystem, options: ExpmOptions | None) -> bool:
-    if options is not None:
-        if options.method == "action":
-            if aug.formulation is Formulation.ADDITIVE:
-                raise ValueError(
-                    "expm-action is unavailable for the additive formulation: "
-                    "it extracts matrix blocks, not a propagated vector")
-            return True
-        return False
-    return aug.formulation is not Formulation.ADDITIVE and aug.n > _DENSE_LIMIT
+    if options is None:
+        return aug.formulation is not Formulation.ADDITIVE and aug.n > _DENSE_LIMIT
+    if options.method == "action" and aug.formulation is Formulation.ADDITIVE:
+        raise ValueError(
+            "expm-action is unavailable for the additive formulation: "
+            "it extracts matrix blocks, not a propagated vector")
+    return options.method == "action"
 
 
 def _additive_extract(aug: AugmentedSystem, state: MomentState,
@@ -327,6 +328,15 @@ def _additive_extract(aug: AugmentedSystem, state: MomentState,
     d = aug.d
     F1 = E[:d, :d]
     H1 = E[:d, d + 1:2 * d + 1]
+    # H1 grows like the adjoint block e^{-A^T tau} and H1 F1^T cancels that
+    # growth, so rounding is amplified by about ||F1||_1 ||e^{-A^T tau}||_1
+    adjoint = E[d + 1:2 * d + 1, d + 1:2 * d + 1]
+    error = np.linalg.norm(F1, 1) * np.linalg.norm(adjoint, 1) * np.finfo(float).eps
+    if error > _ADDITIVE_MAX_ERROR:
+        raise ExpmError(
+            f"additive formulation cancels catastrophically at this horizon "
+            f"(predicted relative error {error:.1e}); "
+            f"use formulation=Formulation.AUTONOMOUS")
     k1 = E[:d, -1]
     mean = state.m0 + k1
     secmom = F1 @ state.P0 @ F1.T + H1 @ F1.T + F1 @ H1.T
@@ -347,26 +357,30 @@ def moments_at(sde: LinearSde, state: MomentState, t: float,
 
     One matrix exponential of the assembled augmented system yields the
     mean and vec(P_t) together. With ``options=None`` the dense route is
-    used up to n = 400 and the Krylov action route beyond.
+    used up to n = 400 and the Krylov action route beyond; passing
+    :class:`ExpmOptions` forces the route it names.
 
     Raises
     ------
     ValueError
         t < t0, or an invalid formulation/method combination.
     ExpmError
-        Propagated from the exponential evaluation.
+        Propagated from the exponential evaluation, or raised by the
+        additive formulation when cancellation would cost more than 1e-6
+        relative accuracy; ``formulation=Formulation.AUTONOMOUS`` then
+        gives the moments.
     """
     tau = _elapsed(sde, t)
     aug = assemble(sde, state, formulation)
     use_action = _wants_action(aug, options)
     if aug.formulation is Formulation.ADDITIVE:
-        E = expm(aug.M, tau, options)
+        E = expm(aug.M, tau)
         mean, secmom = _additive_extract(aug, state, E)
     elif use_action:
-        v = expm_action(aug.M, aug.u, tau, options)
+        v = expm_action(aug.M, aug.u, tau)
         mean, secmom = _vector_extract(aug, state, v)
     else:
-        v = expm(aug.M, tau, options) @ aug.u
+        v = expm(aug.M, tau) @ aug.u
         mean, secmom = _vector_extract(aug, state, v)
     return make_result(t, mean, secmom)
 
@@ -381,6 +395,9 @@ def propagate_grid(sde: LinearSde, state: MomentState, step: float,
     the augmented state is advanced by repeated multiplication, so the
     whole grid costs a single exponential. Results accumulate rounding
     of order n_steps * eps relative to per-time direct evaluation.
+    ``options`` and ``formulation`` act as in :func:`moments_at`, and the
+    additive formulation raises :class:`ExpmError` at the first grid time
+    where :func:`moments_at` would.
     """
     if not (step > 0.0 and np.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step!r}")
@@ -391,7 +408,7 @@ def propagate_grid(sde: LinearSde, state: MomentState, step: float,
     results = []
 
     if aug.formulation is Formulation.ADDITIVE:
-        E = expm(aug.M, step, options)
+        E = expm(aug.M, step)
         W = np.eye(aug.n)
         for k in range(1, n_steps + 1):
             W = E @ W
@@ -399,10 +416,10 @@ def propagate_grid(sde: LinearSde, state: MomentState, step: float,
             results.append(make_result(sde.t0 + k * step, mean, secmom))
         return results
 
-    E = None if use_action else expm(aug.M, step, options)
+    E = None if use_action else expm(aug.M, step)
     v = aug.u.copy()
     for k in range(1, n_steps + 1):
-        v = expm_action(aug.M, v, step, options) if use_action else E @ v
+        v = expm_action(aug.M, v, step) if use_action else E @ v
         mean, secmom = _vector_extract(aug, state, v)
         results.append(make_result(sde.t0 + k * step, mean, secmom))
     return results
@@ -422,8 +439,7 @@ def _vanloan_chain(diag_blocks: list[np.ndarray],
     return out
 
 
-def moments_baseline(sde: LinearSde, state: MomentState, t: float,
-                     options: ExpmOptions | None = None) -> MomentResult:
+def moments_baseline(sde: LinearSde, state: MomentState, t: float) -> MomentResult:
     """Moments via the classical multi-exponential route (benchmark only).
 
     Instead of one augmented exponential, the mean flow e^{C tau}, the
@@ -443,25 +459,25 @@ def moments_baseline(sde: LinearSde, state: MomentState, t: float,
     eye_dd = np.eye(dd)
 
     # mean flow and homogeneous second-moment flow
-    F3 = expm(C, tau, options)
-    F1 = expm(calA, tau, options)
+    F3 = expm(C, tau)
+    F1 = expm(calA, tau)
 
     # int e^{calA (tau-s)} [B1 B2 B3] ds
     z1 = _vanloan_chain([calA, np.zeros((3, 3))],
                         [np.column_stack([sb.B1, sb.B2, sb.B3])])
-    E1 = expm(z1, tau, options)
+    E1 = expm(z1, tau)
     g1, g2, g3 = E1[:dd, dd], E1[:dd, dd + 1], E1[:dd, dd + 2]
 
     # int (tau-s) e^{calA (tau-s)} [B2 B3] ds
     z2 = _vanloan_chain([calA, calA, np.zeros((2, 2))],
                         [eye_dd, np.column_stack([sb.B2, sb.B3])])
-    E2 = expm(z2, tau, options)
+    E2 = expm(z2, tau)
     h2, h3 = E2[:dd, 2 * dd], E2[:dd, 2 * dd + 1]
 
     # int (tau-s)^2/2 e^{calA (tau-s)} B3 ds
     z3 = _vanloan_chain([calA, calA, calA, np.zeros((1, 1))],
                         [eye_dd, eye_dd, sb.B3[:, None]])
-    E3 = expm(z3, tau, options)
+    E3 = expm(z3, tau)
     k3 = E3[:dd, 3 * dd]
 
     # int e^{calA (tau-s)} [B4 B5] e^{diag(C,C) s} ds
@@ -469,13 +485,13 @@ def moments_baseline(sde: LinearSde, state: MomentState, t: float,
     CC[:w, :w] = C
     CC[w:, w:] = C
     z4 = _vanloan_chain([calA, CC], [np.column_stack([sb.B4, sb.B5])])
-    E4 = expm(z4, tau, options)
+    E4 = expm(z4, tau)
     h4 = E4[:dd, dd:dd + w]
     g5 = E4[:dd, dd + w:]
 
     # int (tau-s) e^{calA (tau-s)} B5 e^{C s} ds
     z5 = _vanloan_chain([calA, calA, C], [eye_dd, sb.B5])
-    E5 = expm(z5, tau, options)
+    E5 = expm(z5, tau)
     h5 = E5[:dd, 2 * dd:]
 
     mean = state.m0 + L @ (F3 @ r)

@@ -1,9 +1,13 @@
+import importlib
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from sdemoments import (ExpmConvergenceError, ExpmOptions, ExpmOverflowError,
                         expm, expm_action)
+
+expm_module = importlib.import_module("sdemoments.expm")
 
 
 def test_matches_scipy_across_scales():
@@ -87,31 +91,30 @@ def test_block_triangular_zeros_preserved():
         assert np.abs(E[p:, :p]).max() <= 1e-13 * np.abs(E).max()
 
 
-def test_all_pade_orders_agree():
-    rng = np.random.default_rng(17)
-    a = rng.uniform(-1.0, 1.0, (6, 6))
-    ref = scipy.linalg.expm(a)
-    for order in (3, 5, 7, 9, 13):
-        got = expm(a, options=ExpmOptions(pade_order=order))
-        np.testing.assert_allclose(got, ref, rtol=1e-9,
-                                   atol=1e-9 * np.abs(ref).max())
-    with pytest.raises(ValueError):
-        expm(a, options=ExpmOptions(pade_order=4))
+def test_automatic_order_matches_scipy(monkeypatch):
+    # one norm inside each Pade bracket, then each threshold from both sides
+    orders = []
+    pade_uv = expm_module._pade_uv
 
+    def recording(b, order):
+        orders.append(order)
+        return pade_uv(b, order)
 
-def test_balancing_rescues_bad_scaling():
-    rng = np.random.default_rng(18)
-    base = rng.uniform(-1.0, 1.0, (3, 3))
-    D = np.diag([1e8, 1.0, 1e-8])
-    Dinv = np.diag([1e-8, 1.0, 1e8])
-    bad = D @ base @ Dinv
-    ref = D @ scipy.linalg.expm(base) @ Dinv
-    got = expm(bad, options=ExpmOptions(balance=True))
-    np.testing.assert_allclose(got, ref, rtol=1e-10)
-    # sanity: balancing leaves well-scaled inputs unchanged to roundoff
-    a = rng.uniform(-1.0, 1.0, (5, 5))
-    np.testing.assert_allclose(expm(a, options=ExpmOptions(balance=True)),
-                               expm(a), rtol=1e-12)
+    monkeypatch.setattr(expm_module, "_pade_uv", recording)
+    thetas = expm_module._THETA
+    base = np.random.default_rng(17).uniform(-1.0, 1.0, (6, 6))
+    base /= np.linalg.norm(base, 1)
+    cases = [(1e-2, 3), (0.1, 5), (0.5, 7), (1.5, 9), (4.0, 13), (50.0, 13)]
+    for below, above in zip(thetas, list(thetas)[1:] + [13]):
+        cases += [(thetas[below] * (1 - 1e-9), below),
+                  (thetas[below] * (1 + 1e-9), above)]
+    for norm, order in cases:
+        for t in (1.0, -1.0):
+            a = base * norm
+            ref = scipy.linalg.expm(a * t)
+            np.testing.assert_allclose(expm(a, t), ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max())
+            assert orders.pop() == order, (norm, order)
 
 
 def test_overflow_raises():
@@ -165,17 +168,19 @@ def test_action_full_basis_is_exact():
     a = rng.uniform(-1.0, 1.0, (12, 12)) * 30.0
     v = rng.uniform(-1.0, 1.0, 12)
     want = expm(a, 1.0) @ v
-    got = expm_action(a, v, 1.0, ExpmOptions(method="action", max_krylov=12))
+    got = expm_action(a, v, 1.0)
     np.testing.assert_allclose(got, want, rtol=1e-8)
 
 
 def test_action_convergence_failure():
+    # ||a||_1 ~ 3000 needs more than the 96-vector basis cap
     rng = np.random.default_rng(23)
-    a = rng.uniform(-1.0, 1.0, (50, 50)) * 40.0
-    v = rng.uniform(-1.0, 1.0, 50)
+    a = rng.uniform(-1.0, 1.0, (150, 150)) * 40.0
+    v = rng.uniform(-1.0, 1.0, 150)
     with pytest.raises(ExpmConvergenceError) as excinfo:
-        expm_action(a, v, 1.0, ExpmOptions(method="action", max_krylov=6))
+        expm_action(a, v, 1.0)
     assert excinfo.value.residual > 0.0
+    assert 'ExpmOptions(method="dense")' in str(excinfo.value)
 
 
 def test_action_input_validation():
@@ -184,5 +189,12 @@ def test_action_input_validation():
         expm_action(a, np.zeros(4), 1.0)
     with pytest.raises(ValueError):
         expm_action(a, np.zeros(3), -1.0)
+
+
+def test_options_name_a_known_route():
+    assert ExpmOptions(method="dense").method == "dense"
+    assert ExpmOptions(method="action").method == "action"
     with pytest.raises(ValueError):
-        expm_action(a, np.zeros(3), 1.0, ExpmOptions(tolerance=0.0))
+        ExpmOptions(method="Action")
+    with pytest.raises(TypeError):
+        ExpmOptions()

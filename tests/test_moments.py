@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from sdemoments import (ExpmOptions, Formulation, LinearSde, MomentState,
-                        SdeClass, assemble, build_beta, build_C, build_calA,
-                        build_script_B, expm, moment_ode_rhs, moments_at,
-                        moments_baseline, propagate_grid, rk4_moments, vec)
+from sdemoments import (ExpmError, ExpmOptions, Formulation, LinearSde,
+                        MomentState, SdeClass, assemble, build_beta, build_C,
+                        build_calA, build_script_B, expm, hilbert_systems,
+                        moment_ode_rhs, moments_at, moments_baseline,
+                        propagate_grid, rk4_moments, vec)
 from sdemoments.moments import _wants_action
 from support import CLASSES, random_stable_model, random_state, rel_diff
 
@@ -327,6 +328,20 @@ def test_action_route_rejected_for_additive():
         moments_at(sde, state, sde.t0 + 1.0, options=ExpmOptions(method="action"))
     with pytest.raises(ValueError):
         propagate_grid(sde, state, 0.1, 2, options=ExpmOptions(method="action"))
+
+
+def test_additive_raises_where_cancellation_loses_accuracy():
+    label, sde, state = hilbert_systems(8)[2]
+    assert label == "autonomous_additive"
+    with pytest.raises(ExpmError, match="Formulation.AUTONOMOUS"):
+        moments_at(sde, state, sde.t0 + 20.0)
+    with pytest.raises(ExpmError, match="Formulation.AUTONOMOUS"):
+        propagate_grid(sde, state, 0.5, 60)
+    t = sde.t0 + 4.0
+    additive = moments_at(sde, state, t)
+    autonomous = moments_at(sde, state, t, formulation=Formulation.AUTONOMOUS)
+    assert rel_diff(additive.mean, autonomous.mean, floor=1.0) < 1e-12
+    assert rel_diff(additive.secmom, autonomous.secmom) < 1e-12
 
 
 def test_default_method_selection():
