@@ -1,0 +1,106 @@
+"""Where the Krylov action beats the dense exponential.
+
+moments_at picks its route from the augmented size n alone: the dense
+exponential of the whole matrix up to _DENSE_LIMIT, the Krylov action
+e^{M tau} u beyond. This script times both routes on Hilbert and
+random-stable systems at d = 6..16 in both vector formulations (non-
+autonomous, n = d^2 + 2d + 7; autonomous multiplicative, n = d^2 + d + 2)
+at tau = 1 and tau = 10, and prints the best of 5 for each route, their
+relative agreement and which route the default takes.
+
+propagate_grid reuses one dense exponential for every grid step but runs
+one Krylov action per step, so its crossover lies higher; a second table
+times 20-step grids to tau on the same systems at d = 10..16 against its
+own limit, _GRID_DENSE_LIMIT. BLAS is pinned to one thread unless the
+environment already sets it.
+
+    python3 demos/krylov_crossover.py
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from sdemoments import (ExpmOptions, LinearSde, MomentState,  # noqa: E402
+                        assemble, hilbert_systems, moments_at, propagate_grid)
+from sdemoments.moments import _DENSE_LIMIT, _GRID_DENSE_LIMIT  # noqa: E402
+
+DENSE = ExpmOptions(method="dense")
+ACTION = ExpmOptions(method="action")
+
+
+def random_stable(rng, d, non_autonomous):
+    """Drift with spectral abscissa -0.5, one noise channel scaled by 1/sqrt(d)."""
+    A = rng.uniform(-1.0, 1.0, (d, d))
+    A -= (np.linalg.eigvals(A).real.max() + 0.5) * np.eye(d)
+    extra = {}
+    if non_autonomous:
+        extra = dict(a1=rng.uniform(-1.0, 1.0, d), b1=rng.uniform(-1.0, 1.0, (1, d)))
+    sde = LinearSde(d=d, m=1, A=A, a0=rng.uniform(-1.0, 1.0, d),
+                    B=rng.uniform(-1.0, 1.0, (1, d, d)) / np.sqrt(d),
+                    b0=rng.uniform(-1.0, 1.0, (1, d)), **extra)
+    m0 = rng.uniform(-1.0, 1.0, d)
+    G = rng.uniform(-1.0, 1.0, (d, d))
+    P0 = 0.5 * (G @ G.T) + np.outer(m0, m0)
+    return sde, MomentState(m0=m0, P0=(P0 + P0.T) / 2.0)
+
+
+def best_of(fn, reps=5):
+    times = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - start)
+    return min(times) * 1e3, result
+
+
+def agreement(got, want):
+    """Largest moment difference relative to the largest dense moment."""
+    scale = max(np.abs(want.secmom).max(), np.abs(want.mean).max())
+    return max(np.abs(got.secmom - want.secmom).max(),
+               np.abs(got.mean - want.mean).max()) / scale
+
+
+def systems(rng, d):
+    """Hilbert and random-stable systems in both vector formulations."""
+    hilbert = hilbert_systems(d)
+    for system in ("hilbert", "random"):
+        for label, index in (("non_autonomous", 0), ("autonomous", 1)):
+            if system == "hilbert":
+                sde, state = hilbert[index][1:]
+            else:
+                sde, state = random_stable(rng, d, index == 0)
+            yield system, label, sde, state
+
+
+def table(title, dims, limit, run):
+    """Time run(sde, state, tau, options) on both routes over dims."""
+    rng = np.random.default_rng(2012)
+    print(f"\n{title}, limit n = {limit}")
+    print("system  formulation     d    n   tau   dense ms  action ms  "
+          "agreement  default")
+    for d in dims:
+        for system, label, sde, state in systems(rng, d):
+            n = assemble(sde, state).n
+            for tau in (1.0, 10.0):
+                dense_ms, dense = best_of(lambda: run(sde, state, tau, DENSE))
+                action_ms, action = best_of(lambda: run(sde, state, tau, ACTION))
+                route = "action" if n > limit else "dense"
+                print(f"{system:7s} {label:15s} {d:2d} {n:4d} {tau:5.0f} "
+                      f"{dense_ms:9.2f} {action_ms:10.2f} "
+                      f"{agreement(action, dense):10.1e}  {route}")
+
+
+print(f"BLAS threads {os.environ['OPENBLAS_NUM_THREADS']}")
+table("moments_at at t0 + tau", range(6, 17), _DENSE_LIMIT,
+      lambda sde, state, tau, options:
+      moments_at(sde, state, sde.t0 + tau, options))
+table("propagate_grid, 20 steps to t0 + tau (last grid time)", range(10, 17),
+      _GRID_DENSE_LIMIT,
+      lambda sde, state, tau, options:
+      propagate_grid(sde, state, tau / 20, 20, options)[-1])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expm import ExpmError, ExpmOptions, expm, expm_action
+from .expm import ExpmConvergenceError, ExpmError, ExpmOptions, expm, expm_action
 from .kron import kron_sum, kron_sum_vec, unvec, vec
 from .model import LinearSde, MomentState, SdeClass, classify
 
@@ -41,8 +41,15 @@ __all__ = [
     "moments_baseline",
 ]
 
-#: augmented dimension above which moments_at defaults to the Krylov path
-_DENSE_LIMIT = 400
+#: augmented dimension above which moments_at defaults to the Krylov path;
+#: demos/krylov_crossover.py measures both routes on either side of it
+_DENSE_LIMIT = 120
+#: the same for propagate_grid, which runs one Krylov action per grid step
+#: but one dense exponential per grid: at 20 steps dense wins up to n = 184
+#: and the action from n = 242 (demos/krylov_crossover.py), and longer
+#: grids move the crossover higher, so dense stays until the action route
+#: reuses one Krylov basis across steps
+_GRID_DENSE_LIMIT = 400
 
 #: largest predicted relative error the additive formulation may return
 _ADDITIVE_MAX_ERROR = 1e-6
@@ -313,9 +320,10 @@ def _elapsed(sde: LinearSde, t: float) -> float:
     return tau
 
 
-def _wants_action(aug: AugmentedSystem, options: ExpmOptions | None) -> bool:
+def _wants_action(aug: AugmentedSystem, options: ExpmOptions | None,
+                  limit: int = _DENSE_LIMIT) -> bool:
     if options is None:
-        return aug.formulation is not Formulation.ADDITIVE and aug.n > _DENSE_LIMIT
+        return aug.formulation is not Formulation.ADDITIVE and aug.n > limit
     if options.method == "action" and aug.formulation is Formulation.ADDITIVE:
         raise ValueError(
             "expm-action is unavailable for the additive formulation: "
@@ -357,8 +365,10 @@ def moments_at(sde: LinearSde, state: MomentState, t: float,
 
     One matrix exponential of the assembled augmented system yields the
     mean and vec(P_t) together. With ``options=None`` the dense route is
-    used up to n = 400 and the Krylov action route beyond; passing
-    :class:`ExpmOptions` forces the route it names.
+    used up to n = 120 and the Krylov action route beyond, where it is
+    faster (the additive formulation is always dense); should Krylov not
+    converge within its basis cap, the dense route gives the result.
+    Passing :class:`ExpmOptions` forces the route it names.
 
     Raises
     ------
@@ -376,11 +386,17 @@ def moments_at(sde: LinearSde, state: MomentState, t: float,
     if aug.formulation is Formulation.ADDITIVE:
         E = expm(aug.M, tau)
         mean, secmom = _additive_extract(aug, state, E)
-    elif use_action:
-        v = expm_action(aug.M, aug.u, tau)
-        mean, secmom = _vector_extract(aug, state, v)
     else:
-        v = expm(aug.M, tau) @ aug.u
+        v = None
+        if use_action:
+            try:
+                v = expm_action(aug.M, aug.u, tau)
+            except ExpmConvergenceError:
+                # a route chosen by size alone is no promise of convergence
+                if options is not None:
+                    raise
+        if v is None:
+            v = expm(aug.M, tau) @ aug.u
         mean, secmom = _vector_extract(aug, state, v)
     return make_result(t, mean, secmom)
 
@@ -395,16 +411,18 @@ def propagate_grid(sde: LinearSde, state: MomentState, step: float,
     the augmented state is advanced by repeated multiplication, so the
     whole grid costs a single exponential. Results accumulate rounding
     of order n_steps * eps relative to per-time direct evaluation.
-    ``options`` and ``formulation`` act as in :func:`moments_at`, and the
-    additive formulation raises :class:`ExpmError` at the first grid time
-    where :func:`moments_at` would.
+    ``options`` and ``formulation`` act as in :func:`moments_at`, except
+    that with ``options=None`` the dense route is kept up to n = 400:
+    the action route runs one Krylov action per grid step. The additive
+    formulation raises :class:`ExpmError` at the first grid time where
+    :func:`moments_at` would.
     """
     if not (step > 0.0 and np.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step!r}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
     aug = assemble(sde, state, formulation)
-    use_action = _wants_action(aug, options)
+    use_action = _wants_action(aug, options, _GRID_DENSE_LIMIT)
     results = []
 
     if aug.formulation is Formulation.ADDITIVE:
@@ -419,7 +437,13 @@ def propagate_grid(sde: LinearSde, state: MomentState, step: float,
     E = None if use_action else expm(aug.M, step)
     v = aug.u.copy()
     for k in range(1, n_steps + 1):
-        v = expm_action(aug.M, v, step) if use_action else E @ v
+        try:
+            v = expm_action(aug.M, v, step) if E is None else E @ v
+        except ExpmConvergenceError:
+            if options is not None:
+                raise
+            E = expm(aug.M, step)  # Krylov failed: dense from this step on
+            v = E @ v
         mean, secmom = _vector_extract(aug, state, v)
         results.append(make_result(sde.t0 + k * step, mean, secmom))
     return results

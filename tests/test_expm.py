@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg
 
 from sdemoments import (ExpmConvergenceError, ExpmOptions, ExpmOverflowError,
-                        expm, expm_action)
+                        assemble, expm, expm_action)
+from support import random_stable_model
 
 expm_module = importlib.import_module("sdemoments.expm")
 
@@ -170,6 +171,27 @@ def test_action_full_basis_is_exact():
     want = expm(a, 1.0) @ v
     got = expm_action(a, v, 1.0)
     np.testing.assert_allclose(got, want, rtol=1e-8)
+
+
+def test_action_checkpoints_bound_inner_exponentials(monkeypatch):
+    # n = 295 at t = 10 needs well over 60 basis vectors; exponentiating the
+    # projected matrix at every step would cost one inner expm per vector
+    sde, state = random_stable_model(np.random.default_rng(1), 16,
+                                     "non_autonomous", m=1)
+    aug = assemble(sde, state)
+    sizes = []
+    dense = expm_module.expm
+
+    def recording(a, t=1.0):
+        sizes.append(a.shape[0])
+        return dense(a, t)
+
+    monkeypatch.setattr(expm_module, "expm", recording)
+    got = expm_action(aug.M, aug.u, 10.0)
+    want = scipy.linalg.expm(aug.M * 10.0) @ aug.u
+    assert sizes[-1] >= 60
+    assert len(sizes) <= 12
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_action_convergence_failure():

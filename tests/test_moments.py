@@ -1,13 +1,19 @@
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 
-from sdemoments import (ExpmError, ExpmOptions, Formulation, LinearSde,
+from sdemoments import (ExpmConvergenceError, ExpmError, ExpmOptions,
+                        Formulation, LinearSde,
                         MomentState, SdeClass, assemble, build_beta, build_C,
                         build_calA, build_script_B, expm, hilbert_systems,
                         moment_ode_rhs, moments_at, moments_baseline,
                         propagate_grid, rk4_moments, vec)
-from sdemoments.moments import _wants_action
+from sdemoments.moments import _DENSE_LIMIT, _GRID_DENSE_LIMIT, _wants_action
 from support import CLASSES, random_stable_model, random_state, rel_diff
+
+moments_module = importlib.import_module("sdemoments.moments")
 
 
 def test_calA_scalar_reduction():
@@ -354,3 +360,83 @@ def test_default_method_selection():
     assert aug_big.n == 20 * 20 + 2 * 20 + 7
     assert _wants_action(aug_big, None)
     assert not _wants_action(aug_big, ExpmOptions(method="dense"))
+    # either side of both limits: (d, kind) -> augmented size and the
+    # routes of moments_at and propagate_grid
+    sides = {(8, "non_autonomous"): (87, False, False),
+             (10, "autonomous_multiplicative"): (112, False, False),
+             (10, "non_autonomous"): (127, True, False),
+             (12, "autonomous_multiplicative"): (158, True, False),
+             (16, "non_autonomous"): (295, True, False),
+             (20, "autonomous_multiplicative"): (422, True, True)}
+    for (d, kind), (n, action, grid_action) in sides.items():
+        aug = assemble(*random_stable_model(rng, d, kind, m=1))
+        assert aug.n == n
+        assert (aug.n > _DENSE_LIMIT) == action
+        assert _wants_action(aug, None) == action
+        assert (aug.n > _GRID_DENSE_LIMIT) == grid_action
+        assert _wants_action(aug, None, _GRID_DENSE_LIMIT) == grid_action
+
+
+def _band_systems(d):
+    """Hilbert and random-stable systems in both vector formulations."""
+    rng = np.random.default_rng(d)
+    systems = [(sde, state) for _, sde, state in hilbert_systems(d)[:2]]
+    for kind in ("non_autonomous", "autonomous_multiplicative"):
+        sde, state = random_stable_model(rng, d, kind, m=1)
+        # noise scaled by 1/sqrt(d) keeps the second moment bounded
+        systems.append((dataclasses.replace(sde, B=sde.B / np.sqrt(d)), state))
+    return systems
+
+
+def test_action_matches_dense_across_switched_band():
+    # the named action route raises rather than falls back, so every case
+    # here runs Krylov; the default routes must equal their chosen route
+    action, dense = ExpmOptions(method="action"), ExpmOptions(method="dense")
+    for d in (10, 12, 14, 16):
+        for sde, state in _band_systems(d):
+            n = assemble(sde, state).n
+            assert n <= _GRID_DENSE_LIMIT
+            for tau in (1.0, 10.0):
+                t = sde.t0 + tau
+                got = moments_at(sde, state, t, options=action)
+                want = moments_at(sde, state, t, options=dense)
+                assert rel_diff(got.mean, want.mean, floor=1.0) < 1e-10
+                assert rel_diff(got.secmom, want.secmom) < 1e-10
+                default = moments_at(sde, state, t)
+                chosen = got if n > _DENSE_LIMIT else want
+                np.testing.assert_array_equal(default.secmom, chosen.secmom)
+                grid = propagate_grid(sde, state, tau, 2, options=action)
+                grid_dense = propagate_grid(sde, state, tau, 2, options=dense)
+                grid_default = propagate_grid(sde, state, tau, 2)
+                for got, want, default in zip(grid, grid_dense, grid_default):
+                    assert got.t == want.t
+                    assert rel_diff(got.mean, want.mean, floor=1.0) < 1e-10
+                    assert rel_diff(got.secmom, want.secmom) < 1e-10
+                    np.testing.assert_array_equal(default.secmom, want.secmom)
+
+
+def test_default_route_falls_back_to_dense_where_krylov_fails(monkeypatch):
+    # a stiff drift at n = 158: Krylov needs more than its 96-vector cap
+    rng = np.random.default_rng(1)
+    d = 12
+    A = rng.uniform(-1.0, 1.0, (d, d)) * 30.0
+    A -= (np.linalg.eigvals(A).real.max() + 0.5) * np.eye(d)
+    sde = LinearSde(d=d, m=1, A=A, a0=np.ones(d), b0=np.ones((1, d)),
+                    B=rng.uniform(-1.0, 1.0, (1, d, d)) / np.sqrt(d))
+    state = random_state(rng, d)
+    assert _wants_action(assemble(sde, state), None)
+    action, dense = ExpmOptions(method="action"), ExpmOptions(method="dense")
+    with pytest.raises(ExpmConvergenceError):
+        moments_at(sde, state, 1.0, options=action)
+    with pytest.raises(ExpmConvergenceError):
+        propagate_grid(sde, state, 1.0, 2, options=action)
+    got = moments_at(sde, state, 1.0)
+    want = moments_at(sde, state, 1.0, options=dense)
+    np.testing.assert_array_equal(got.secmom, want.secmom)
+    # the grid keeps the dense route to n = 400; lower its limit so that
+    # only the size chooses Krylov here too
+    monkeypatch.setattr(moments_module, "_GRID_DENSE_LIMIT", _DENSE_LIMIT)
+    grid = propagate_grid(sde, state, 1.0, 2)
+    grid_dense = propagate_grid(sde, state, 1.0, 2, options=dense)
+    for got, want in zip(grid, grid_dense):
+        np.testing.assert_array_equal(got.secmom, want.secmom)
