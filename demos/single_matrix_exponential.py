@@ -9,15 +9,30 @@ model has.
 
 import numpy as np
 
-from sdemoments import assemble, classify, hilbert_systems, moments_at, rk4_moments
+from sdemoments import (Formulation, assemble, classify, hilbert_systems,
+                        moments_at, rk4_moments)
+
+
+def blocks(formulation: Formulation, d: int) -> list[tuple[str, int]]:
+    """Names and sizes of the diagonal blocks of M, in order."""
+    if formulation is Formulation.ADDITIVE:
+        return [("state", d), ("one", 1), ("adjoint", d), ("shift", 1)]
+    if formulation is Formulation.AUTONOMOUS:
+        return [("secmom", d * d), ("one", 1), ("mean_flow", d + 1)]
+    return [("secmom", d * d), ("mean_ramp", d + 2), ("mean_flow", d + 2),
+            ("time_sq", 1), ("time", 1), ("one", 1)]
+
 
 for label, sde, state in hilbert_systems(3):
     aug = assemble(sde, state)
     print(f"{label}  (classified: {classify(sde).value})")
     print(f"  formulation {aug.formulation.name}, "
           f"augmented size n = {aug.n} for d = {sde.d}")
+    layout = blocks(aug.formulation, sde.d)
+    offsets = np.cumsum([0] + [size for _, size in layout])
+    assert offsets[-1] == aug.n
     print("  blocks: " + ", ".join(f"{name}@{off}(size {size})"
-                                   for name, off, size in aug.block_offsets))
+                                   for (name, size), off in zip(layout, offsets)))
 
     res = moments_at(sde, state, 1.0)
     ref = rk4_moments(sde, state, 1.0, 4000)

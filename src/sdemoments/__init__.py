@@ -14,7 +14,6 @@ from .kron import hilbert, kron, kron_sum, kron_sum_vec, unvec, vec
 from .model import (LinearSde, ModelError, MomentState, SdeClass, classify,
                     load_model, parse_model, serialize_model)
 from .moments import (AugmentedSystem, Formulation, MomentResult, assemble,
-                      build_beta, build_C, build_calA, build_script_B,
                       moments_at, moments_baseline, propagate_grid)
 from .oracle import (McConfig, McEstimate, euler_maruyama_mc, moment_ode_rhs,
                      rk4_moments)
@@ -26,7 +25,6 @@ __all__ = [
     "classify", "parse_model", "load_model", "serialize_model",
     "Formulation", "AugmentedSystem", "MomentResult",
     "assemble", "moments_at", "propagate_grid", "moments_baseline",
-    "build_beta", "build_C", "build_script_B", "build_calA",
     "ExpmOptions", "ExpmError", "ExpmOverflowError", "ExpmConvergenceError",
     "expm", "expm_action",
     "kron", "kron_sum", "kron_sum_vec", "vec", "unvec", "hilbert",

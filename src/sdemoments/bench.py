@@ -88,7 +88,8 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
 
-def _median_time(fn, reps: int) -> float:
+def _inner_count(fn) -> int:
+    """Calls per sample so that one sample lasts at least _MIN_SAMPLE."""
     fn()
     n_inner = 1
     while True:
@@ -96,15 +97,26 @@ def _median_time(fn, reps: int) -> float:
         for _ in range(n_inner):
             fn()
         if time.perf_counter() - start >= _MIN_SAMPLE or n_inner >= 1 << 20:
-            break
+            return n_inner
         n_inner *= 2
-    samples = []
+
+
+def _median_times(fns, reps: int) -> list[float]:
+    """Median time per call of each function over ``reps`` samples.
+
+    The functions are sampled in turn, one sample each per round, so that
+    load from other processes, which comes and goes within seconds, falls
+    on all of them alike and cancels in their ratios.
+    """
+    counts = [_inner_count(fn) for fn in fns]
+    samples = [[] for _ in fns]
     for _ in range(reps):
-        start = time.perf_counter()
-        for _ in range(n_inner):
-            fn()
-        samples.append((time.perf_counter() - start) / n_inner)
-    return float(np.median(samples))
+        for fn, n_inner, out in zip(fns, counts, samples):
+            start = time.perf_counter()
+            for _ in range(n_inner):
+                fn()
+            out.append((time.perf_counter() - start) / n_inner)
+    return [float(np.median(out)) for out in samples]
 
 
 def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -116,9 +128,10 @@ def run_bench(dims: tuple[int, ...] = (2, 8), reps: int = 7,
               t: float = 1.0) -> BenchReport:
     """Time moments_at against moments_baseline on the benchmark systems.
 
-    Each measurement is a median over ``reps`` samples; samples shorter
-    than the clock can resolve are stretched over an auto-sized inner
-    loop. Also records the max relative disagreement of the two routes.
+    Each measurement is a median over ``reps`` samples, taken in turn
+    with the other route's; samples shorter than the clock can resolve
+    are stretched over an auto-sized inner loop. Also records the max
+    relative disagreement of the two routes.
     """
     if reps < 5:
         raise ValueError(f"reps must be >= 5, got {reps!r}")
@@ -132,8 +145,9 @@ def run_bench(dims: tuple[int, ...] = (2, 8), reps: int = 7,
             res_old = moments_baseline(sde, state, t)
             agreement = max(_rel_diff(res_new.mean, res_old.mean),
                             _rel_diff(res_new.secmom, res_old.secmom))
-            time_new = _median_time(lambda: moments_at(sde, state, t), reps)
-            time_old = _median_time(lambda: moments_baseline(sde, state, t), reps)
+            time_new, time_old = _median_times(
+                (lambda: moments_at(sde, state, t),
+                 lambda: moments_baseline(sde, state, t)), reps)
             rows.append(BenchRow(equation_class=label, d=d,
                                  time_new=time_new, time_baseline=time_old,
                                  ratio=time_new / time_old, reps=reps,

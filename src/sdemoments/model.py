@@ -179,23 +179,17 @@ class MomentState:
         return self.P0 - np.outer(self.m0, self.m0)
 
 
-def classify(sde: LinearSde, zero_tol: float = 0.0) -> SdeClass:
+def classify(sde: LinearSde) -> SdeClass:
     """Classify a model by which coefficients vanish.
 
-    A model is autonomous when a1 and every b_{i,1} have max-abs entries
-    at most ``zero_tol``; an autonomous model is additive when every B_i
-    does too. Everything else is non-autonomous. A noise-free model
-    (m = 0) is autonomous additive unless a1 is nonzero.
+    A model is autonomous when a1 and every b_{i,1} are exactly zero; an
+    autonomous model is additive when every B_i is too. Everything else
+    is non-autonomous. A noise-free model (m = 0) is autonomous additive
+    unless a1 is nonzero.
     """
-    if zero_tol < 0.0:
-        raise ValueError(f"zero_tol must be >= 0, got {zero_tol!r}")
-
-    def small(a):
-        return a.size == 0 or np.abs(a).max() <= zero_tol
-
-    if not (small(sde.a1) and small(sde.b1)):
+    if np.any(sde.a1) or np.any(sde.b1):
         return SdeClass.NON_AUTONOMOUS
-    if small(sde.B):
+    if not np.any(sde.B):
         return SdeClass.AUTONOMOUS_ADDITIVE
     return SdeClass.AUTONOMOUS_MULTIPLICATIVE
 

@@ -18,23 +18,18 @@ solely as a benchmark comparator.
 from __future__ import annotations
 
 import enum
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .expm import ExpmConvergenceError, ExpmError, ExpmOptions, expm, expm_action
-from .kron import kron_sum, kron_sum_vec, unvec, vec
+from .expm import (ExpmConvergenceError, ExpmError, ExpmOptions,
+                   ExpmOverflowError, expm, expm_action)
 from .model import LinearSde, MomentState, SdeClass, classify
 
 __all__ = [
     "Formulation",
     "AugmentedSystem",
     "MomentResult",
-    "build_beta",
-    "build_C",
-    "build_script_B",
-    "build_calA",
     "assemble",
     "moments_at",
     "propagate_grid",
@@ -53,10 +48,6 @@ _GRID_DENSE_LIMIT = 400
 
 #: largest predicted relative error the additive formulation may return
 _ADDITIVE_MAX_ERROR = 1e-6
-
-Betas = namedtuple("Betas", ["beta1", "beta2", "beta3", "beta4", "beta5"])
-ScriptB = namedtuple("ScriptB", ["B1", "B2", "B3", "B4", "B5"])
-
 
 class Formulation(enum.Enum):
     """Which augmented-system layout to assemble."""
@@ -83,7 +74,6 @@ class AugmentedSystem:
     u: np.ndarray | None
     mean_slice: slice | None
     secmom_slice: slice | None
-    block_offsets: tuple[tuple[str, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -104,7 +94,14 @@ class MomentResult:
 
 
 def make_result(t: float, mean: np.ndarray, secmom_raw: np.ndarray) -> MomentResult:
-    """Package raw (mean, second moment) into a symmetrized MomentResult."""
+    """Package raw (mean, second moment) into a symmetrized MomentResult.
+
+    Raises :class:`ExpmOverflowError` when either moment is not finite.
+    """
+    if not (np.isfinite(mean).all() and np.isfinite(secmom_raw).all()):
+        raise ExpmOverflowError(
+            f"moments at t = {float(t):g} overflow double precision; "
+            f"rescale the problem or reduce t")
     defect = float(np.abs(secmom_raw - secmom_raw.T).max())
     secmom = (secmom_raw + secmom_raw.T) / 2.0
     variance = secmom - np.outer(mean, mean)
@@ -117,8 +114,8 @@ def make_result(t: float, mean: np.ndarray, secmom_raw: np.ndarray) -> MomentRes
                         min_variance_eig=min_eig)
 
 
-def build_beta(sde: LinearSde) -> Betas:
-    """Coefficient matrices of the forcing expansion around t0.
+def build_beta(sde: LinearSde) -> tuple[np.ndarray, ...]:
+    """Coefficient matrices beta1..beta5 of the forcing expansion around t0.
 
     With abar = a(t0) and bbar_i = b_i(t0):
 
@@ -138,64 +135,48 @@ def build_beta(sde: LinearSde) -> Betas:
     beta1 = bbar.T @ bbar
     beta2 = bbar.T @ b1 + b1.T @ bbar
     beta3 = b1.T @ b1
-    beta4 = kron_sum_vec(abar, abar)
-    beta5 = kron_sum_vec(sde.a1, sde.a1)
-    for i in range(sde.m):
-        col_bar = bbar[i][:, None]
-        col_b1 = b1[i][:, None]
-        beta4 = beta4 + np.kron(col_bar, sde.B[i]) + np.kron(sde.B[i], col_bar)
-        beta5 = beta5 + np.kron(col_b1, sde.B[i]) + np.kron(sde.B[i], col_b1)
-    assert beta4.shape == (d * d, d)
-    return Betas(beta1, beta2, beta3, beta4, beta5)
+    # with f = [abar, bbar_i] and [a1, b_{i,1}] stacked and g = [I, B_i],
+    # beta4 and beta5 are sum_k (f_k (x) g_k + g_k (x) f_k)
+    f = np.stack([np.vstack((abar, bbar)), np.vstack((sde.a1, b1))])
+    g = np.concatenate(([np.eye(d)], sde.B))
+    beta45 = (np.einsum("pki,kaj->piaj", f, g)
+              + np.einsum("kij,pka->piaj", g, f)).reshape(2, d * d, d)
+    return beta1, beta2, beta3, beta45[0], beta45[1]
 
 
-def build_C(sde: LinearSde, state: MomentState,
-            cls: SdeClass) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean-propagation companion matrix with its selector L and seed r.
+def build_C(sde: LinearSde, state: MomentState, cls: SdeClass) -> np.ndarray:
+    """Mean-propagation companion matrix C.
 
     For the non-autonomous layout C is (d+2)x(d+2) and couples to a
     linear-in-time forcing; autonomous models get the (d+1)x(d+1) form.
-    In both cases m_t = m0 + L e^{C (t-t0)} r.
+    In both cases m_t - m0 is the first d entries of the last column of
+    e^{C (t-t0)}.
     """
     d = sde.d
     drive = sde.A @ state.m0 + sde.drift_forcing(sde.t0)
     if cls is SdeClass.NON_AUTONOMOUS:
-        n = d + 2
-        C = np.zeros((n, n))
-        C[:d, :d] = sde.A
+        C = np.zeros((d + 2, d + 2))
         C[:d, d] = sde.a1
-        C[:d, d + 1] = drive
         C[d, d + 1] = 1.0
     else:
-        n = d + 1
-        C = np.zeros((n, n))
-        C[:d, :d] = sde.A
-        C[:d, d] = drive
-    L = np.zeros((d, n))
-    L[:, :d] = np.eye(d)
-    r = np.zeros(n)
-    r[-1] = 1.0
-    return C, L, r
+        C = np.zeros((d + 1, d + 1))
+    C[:d, :d] = sde.A
+    C[:d, -1] = drive
+    return C
 
 
-def build_script_B(sde: LinearSde, state: MomentState,
-                   cls: SdeClass | None = None) -> ScriptB:
+def build_script_B(sde: LinearSde, state: MomentState) -> tuple[np.ndarray, ...]:
     """Inhomogeneity blocks feeding the second-moment row of M.
 
-    B1 = vec(beta1) + beta4 m0, B2 = vec(beta2) + beta5 m0,
-    B3 = vec(beta3), B4 = beta4 L, B5 = beta5 L, with L sized by the
-    classification (pass ``cls`` to override).
+    Returns B1 = vec(beta1) + beta4 m0, B2 = vec(beta2) + beta5 m0,
+    B3 = vec(beta3), beta4 and beta5. The paper's B4 and B5 are beta4 and
+    beta5 followed by zero columns up to the width of C.
     """
-    if cls is None:
-        cls = classify(sde)
-    betas = build_beta(sde)
-    _, L, _ = build_C(sde, state, cls)
-    B1 = vec(betas.beta1) + betas.beta4 @ state.m0
-    B2 = vec(betas.beta2) + betas.beta5 @ state.m0
-    B3 = vec(betas.beta3)
-    B4 = betas.beta4 @ L
-    B5 = betas.beta5 @ L
-    return ScriptB(B1, B2, B3, B4, B5)
+    beta1, beta2, beta3, beta4, beta5 = build_beta(sde)
+    B1 = beta1.ravel("F") + beta4 @ state.m0
+    B2 = beta2.ravel("F") + beta5 @ state.m0
+    B3 = beta3.ravel("F")
+    return B1, B2, B3, beta4, beta5
 
 
 def build_calA(sde: LinearSde) -> np.ndarray:
@@ -205,10 +186,11 @@ def build_calA(sde: LinearSde) -> np.ndarray:
     (A (+) A) vec(P) = vec(A P + P A^T) and
     (B (x) B) vec(P) = vec(B P B^T).
     """
-    out = kron_sum(sde.A, sde.A)
-    for i in range(sde.m):
-        out = out + np.kron(sde.B[i], sde.B[i])
-    return out
+    d = sde.d
+    eye = np.eye(d)
+    left = np.concatenate(([sde.A, eye], sde.B))
+    right = np.concatenate(([eye, sde.A], sde.B))
+    return np.einsum("kij,kab->iajb", left, right).reshape(d * d, d * d)
 
 
 def _default_formulation(cls: SdeClass) -> Formulation:
@@ -256,59 +238,54 @@ def assemble(sde: LinearSde, state: MomentState,
         M[:d, n - 1] = drive
         M[d, d + 1:2 * d + 1] = drive
         M[d + 1:2 * d + 1, d + 1:2 * d + 1] = -sde.A.T
-        blocks = (("state", 0, d), ("one", d, 1),
-                  ("adjoint", d + 1, d), ("shift", 2 * d + 1, 1))
         return AugmentedSystem(formulation=formulation, n=n, d=d, M=M, u=None,
-                               mean_slice=None, secmom_slice=None,
-                               block_offsets=blocks)
+                               mean_slice=None, secmom_slice=None)
 
+    # M = [[calA, forcing], [0, mean flow]]; u seeds vec(P0), the constant
+    # 1 and the last unit vector of C, whose flow carries m_t - m0
     calA = build_calA(sde)
+    B1, B2, B3, beta4, beta5 = build_script_B(sde, state)
 
     if formulation is Formulation.AUTONOMOUS:
-        C, _, r = build_C(sde, state, SdeClass.AUTONOMOUS_MULTIPLICATIVE)
-        sb = build_script_B(sde, state, SdeClass.AUTONOMOUS_MULTIPLICATIVE)
+        C = build_C(sde, state, SdeClass.AUTONOMOUS_MULTIPLICATIVE)
         n = dd + d + 2
         M = np.zeros((n, n))
         M[:dd, :dd] = calA
-        M[:dd, dd] = sb.B1
-        M[:dd, dd + 1:] = sb.B4
+        M[:dd, dd] = B1
+        M[:dd, dd + 1:dd + 1 + d] = beta4
         M[dd + 1:, dd + 1:] = C
         u = np.zeros(n)
-        u[:dd] = vec(state.P0)
+        u[:dd] = state.P0.ravel("F")
         u[dd] = 1.0
-        u[dd + 1:] = r
-        blocks = (("secmom", 0, dd), ("one", dd, 1), ("mean_flow", dd + 1, d + 1))
+        u[n - 1] = 1.0
         return AugmentedSystem(formulation=formulation, n=n, d=d, M=M, u=u,
                                mean_slice=slice(dd + 1, dd + 1 + d),
-                               secmom_slice=slice(0, dd),
-                               block_offsets=blocks)
+                               secmom_slice=slice(0, dd))
 
-    C, _, r = build_C(sde, state, SdeClass.NON_AUTONOMOUS)
-    sb = build_script_B(sde, state, SdeClass.NON_AUTONOMOUS)
+    # the mean flow appears twice, as a ramp s e^{C s} r and as e^{C s} r,
+    # followed by s^2, s and 1
+    C = build_C(sde, state, SdeClass.NON_AUTONOMOUS)
     w = d + 2
     n = dd + 2 * w + 3
     M = np.zeros((n, n))
     M[:dd, :dd] = calA
-    M[:dd, dd:dd + w] = sb.B5
-    M[:dd, dd + w:dd + 2 * w] = sb.B4
-    M[:dd, n - 3] = sb.B3
-    M[:dd, n - 2] = sb.B2
-    M[:dd, n - 1] = sb.B1
+    M[:dd, dd:dd + d] = beta5
+    M[:dd, dd + w:dd + w + d] = beta4
+    M[:dd, n - 3] = B3
+    M[:dd, n - 2] = B2
+    M[:dd, n - 1] = B1
     M[dd:dd + w, dd:dd + w] = C
     M[dd:dd + w, dd + w:dd + 2 * w] = np.eye(w)
     M[dd + w:dd + 2 * w, dd + w:dd + 2 * w] = C
     M[n - 3, n - 2] = 2.0
     M[n - 2, n - 1] = 1.0
     u = np.zeros(n)
-    u[:dd] = vec(state.P0)
-    u[dd + w:dd + 2 * w] = r
+    u[:dd] = state.P0.ravel("F")
+    u[dd + 2 * w - 1] = 1.0
     u[n - 1] = 1.0
-    blocks = (("secmom", 0, dd), ("mean_ramp", dd, w), ("mean_flow", dd + w, w),
-              ("time_sq", n - 3, 1), ("time", n - 2, 1), ("one", n - 1, 1))
     return AugmentedSystem(formulation=formulation, n=n, d=d, M=M, u=u,
                            mean_slice=slice(dd + w, dd + w + d),
-                           secmom_slice=slice(0, dd),
-                           block_offsets=blocks)
+                           secmom_slice=slice(0, dd))
 
 
 def _elapsed(sde: LinearSde, t: float) -> float:
@@ -354,7 +331,7 @@ def _additive_extract(aug: AugmentedSystem, state: MomentState,
 def _vector_extract(aug: AugmentedSystem, state: MomentState,
                     v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = state.m0 + v[aug.mean_slice]
-    secmom = unvec(v[aug.secmom_slice], aug.d, aug.d)
+    secmom = v[aug.secmom_slice].reshape((aug.d, aug.d), order="F")
     return mean, secmom
 
 
@@ -476,11 +453,16 @@ def moments_baseline(sde: LinearSde, state: MomentState, t: float) -> MomentResu
     d = sde.d
     dd = d * d
 
-    C, L, r = build_C(sde, state, SdeClass.NON_AUTONOMOUS)
-    sb = build_script_B(sde, state, SdeClass.NON_AUTONOMOUS)
+    C = build_C(sde, state, SdeClass.NON_AUTONOMOUS)
+    B1, B2, B3, beta4, beta5 = build_script_B(sde, state)
     calA = build_calA(sde)
     w = d + 2
     eye_dd = np.eye(dd)
+    # the paper's B4 and B5 are beta4 and beta5 padded with zeros to width w
+    B4 = np.zeros((dd, w))
+    B4[:, :d] = beta4
+    B5 = np.zeros((dd, w))
+    B5[:, :d] = beta5
 
     # mean flow and homogeneous second-moment flow
     F3 = expm(C, tau)
@@ -488,19 +470,19 @@ def moments_baseline(sde: LinearSde, state: MomentState, t: float) -> MomentResu
 
     # int e^{calA (tau-s)} [B1 B2 B3] ds
     z1 = _vanloan_chain([calA, np.zeros((3, 3))],
-                        [np.column_stack([sb.B1, sb.B2, sb.B3])])
+                        [np.column_stack([B1, B2, B3])])
     E1 = expm(z1, tau)
     g1, g2, g3 = E1[:dd, dd], E1[:dd, dd + 1], E1[:dd, dd + 2]
 
     # int (tau-s) e^{calA (tau-s)} [B2 B3] ds
     z2 = _vanloan_chain([calA, calA, np.zeros((2, 2))],
-                        [eye_dd, np.column_stack([sb.B2, sb.B3])])
+                        [eye_dd, np.column_stack([B2, B3])])
     E2 = expm(z2, tau)
     h2, h3 = E2[:dd, 2 * dd], E2[:dd, 2 * dd + 1]
 
     # int (tau-s)^2/2 e^{calA (tau-s)} B3 ds
     z3 = _vanloan_chain([calA, calA, calA, np.zeros((1, 1))],
-                        [eye_dd, eye_dd, sb.B3[:, None]])
+                        [eye_dd, eye_dd, B3[:, None]])
     E3 = expm(z3, tau)
     k3 = E3[:dd, 3 * dd]
 
@@ -508,20 +490,22 @@ def moments_baseline(sde: LinearSde, state: MomentState, t: float) -> MomentResu
     CC = np.zeros((2 * w, 2 * w))
     CC[:w, :w] = C
     CC[w:, w:] = C
-    z4 = _vanloan_chain([calA, CC], [np.column_stack([sb.B4, sb.B5])])
+    z4 = _vanloan_chain([calA, CC], [np.column_stack([B4, B5])])
     E4 = expm(z4, tau)
     h4 = E4[:dd, dd:dd + w]
     g5 = E4[:dd, dd + w:]
 
     # int (tau-s) e^{calA (tau-s)} B5 e^{C s} ds
-    z5 = _vanloan_chain([calA, calA, C], [eye_dd, sb.B5])
+    z5 = _vanloan_chain([calA, calA, C], [eye_dd, B5])
     E5 = expm(z5, tau)
     h5 = E5[:dd, 2 * dd:]
 
-    mean = state.m0 + L @ (F3 @ r)
-    secmom_vec = (F1 @ vec(state.P0)
+    # the mean flow starts at the last unit vector r, so e^{C tau} r is the
+    # last column of e^{C tau}, and m_t - m0 is its first d entries
+    mean = state.m0 + F3[:d, -1]
+    secmom_vec = (F1 @ state.P0.ravel("F")
                   + g1
                   + tau * g2 - h2
                   + tau * tau * g3 - 2.0 * tau * h3 + 2.0 * k3
-                  + (h4 + tau * g5 - h5) @ r)
-    return make_result(t, mean, unvec(secmom_vec, d, d))
+                  + (h4 + tau * g5 - h5)[:, -1])
+    return make_result(t, mean, secmom_vec.reshape((d, d), order="F"))

@@ -88,25 +88,17 @@ def rk4_moments(sde: LinearSde, state: MomentState, t: float,
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte Carlo run parameters.
-
-    ``antithetic`` pairs each path with its sign-flipped noise mirror;
-    the pair average is then the statistical unit for the standard
-    errors, so n_paths must be even.
-    """
+    """Monte Carlo run parameters."""
 
     n_paths: int
     n_steps: int
     seed: int
-    antithetic: bool = False
 
     def __post_init__(self):
         if self.n_paths < 2:
             raise ValueError(f"n_paths must be >= 2, got {self.n_paths!r}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps!r}")
-        if self.antithetic and (self.n_paths % 2 or self.n_paths < 4):
-            raise ValueError("antithetic pairing requires an even n_paths >= 4")
 
 
 @dataclass(frozen=True)
@@ -196,12 +188,11 @@ def euler_maruyama_mc(sde: LinearSde, state: MomentState, t: float,
     d, m = sde.d, sde.m
     h = tau / config.n_steps
     factor = _initial_factor(state)
-    n_units = config.n_paths // 2 if config.antithetic else config.n_paths
-    children = np.random.SeedSequence(config.seed).spawn(n_units)
+    children = np.random.SeedSequence(config.seed).spawn(config.n_paths)
     acc = _Welford(d + d * d)
 
-    for lo in range(0, n_units, _CHUNK):
-        hi = min(lo + _CHUNK, n_units)
+    for lo in range(0, config.n_paths, _CHUNK):
+        hi = min(lo + _CHUNK, config.n_paths)
         k = hi - lo
         z0 = np.empty((k, d))
         dW = np.empty((k, config.n_steps, m))
@@ -211,13 +202,7 @@ def euler_maruyama_mc(sde: LinearSde, state: MomentState, t: float,
             if m:
                 dW[j] = gen.standard_normal((config.n_steps, m))
         x0 = state.m0 + z0 @ factor.T
-        if config.antithetic:
-            x0_neg = state.m0 - z0 @ factor.T
-            stats = (_stats(_simulate(sde, x0, dW, h, config.n_steps), d)
-                     + _stats(_simulate(sde, x0_neg, -dW, h, config.n_steps), d)) / 2.0
-        else:
-            stats = _stats(_simulate(sde, x0, dW, h, config.n_steps), d)
-        acc.add(stats)
+        acc.add(_stats(_simulate(sde, x0, dW, h, config.n_steps), d))
 
     if not np.all(np.isfinite(acc.mean)):
         raise RuntimeError("simulation produced non-finite sample moments; "

@@ -126,6 +126,16 @@ def test_cli_moments_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_moments_overflow_is_a_computation_failure(tmp_path, capsys):
+    base = {"d": 1, "m": 1, "t0": 0.0, "A": [[333.0]], "a0": [0.0],
+            "m0": [1e10], "P0": [[1e20]]}
+    path = tmp_path / "overflow.json"
+    for noise in ({"B": [[[0.1]]], "b0": [[0.0]]}, {"b0": [[1.0]]}):
+        path.write_text(json.dumps({**base, **noise}))
+        assert main(["moments", str(path), "--t", "1.0"]) == 1
+        assert "overflow" in capsys.readouterr().err
+
+
 def test_cli_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])

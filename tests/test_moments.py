@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from sdemoments import (ExpmConvergenceError, ExpmError, ExpmOptions,
-                        Formulation, LinearSde,
-                        MomentState, SdeClass, assemble, build_beta, build_C,
-                        build_calA, build_script_B, expm, hilbert_systems,
-                        moment_ode_rhs, moments_at, moments_baseline,
-                        propagate_grid, rk4_moments, vec)
-from sdemoments.moments import _DENSE_LIMIT, _GRID_DENSE_LIMIT, _wants_action
+                        ExpmOverflowError, Formulation, LinearSde,
+                        MomentState, SdeClass, assemble, expm, hilbert_systems,
+                        kron, kron_sum, kron_sum_vec, moment_ode_rhs,
+                        moments_at, moments_baseline, propagate_grid,
+                        rk4_moments, vec)
+from sdemoments.moments import (_DENSE_LIMIT, _GRID_DENSE_LIMIT, _wants_action,
+                                build_beta, build_C, build_calA, build_script_B)
 from support import CLASSES, random_stable_model, random_state, rel_diff
 
 moments_module = importlib.import_module("sdemoments.moments")
@@ -41,20 +42,17 @@ def test_calA_drives_homogeneous_second_moment():
 def test_build_C_autonomous_scalar():
     sde = LinearSde(d=1, m=0, A=[[-2.0]], a0=[3.0], t0=0.0)
     state = MomentState(m0=[0.5], P0=[[0.25]])
-    C, L, r = build_C(sde, state, SdeClass.AUTONOMOUS_ADDITIVE)
+    C = build_C(sde, state, SdeClass.AUTONOMOUS_ADDITIVE)
     np.testing.assert_allclose(C, [[-2.0, -2.0 * 0.5 + 3.0], [0.0, 0.0]])
-    np.testing.assert_array_equal(L, [[1.0, 0.0]])
-    np.testing.assert_array_equal(r, [0.0, 1.0])
 
 
 def test_build_C_non_autonomous_shape():
     sde = LinearSde(d=2, m=0, A=-np.eye(2), a0=[0.0, 0.0], a1=[1.0, 2.0])
     state = MomentState(m0=[0.0, 0.0], P0=np.zeros((2, 2)))
-    C, L, r = build_C(sde, state, SdeClass.NON_AUTONOMOUS)
+    C = build_C(sde, state, SdeClass.NON_AUTONOMOUS)
     assert C.shape == (4, 4)
     np.testing.assert_array_equal(C[:2, 2], [1.0, 2.0])
     assert C[2, 3] == 1.0
-    assert L.shape == (2, 4) and r.shape == (4,)
 
 
 def test_build_C_solves_mean_ode():
@@ -63,9 +61,10 @@ def test_build_C_solves_mean_ode():
         sde, state = random_stable_model(rng, 3, kind)
         cls = (SdeClass.NON_AUTONOMOUS if kind == "non_autonomous"
                else SdeClass.AUTONOMOUS_MULTIPLICATIVE)
-        C, L, r = build_C(sde, state, cls)
+        C = build_C(sde, state, cls)
         t = sde.t0 + 0.8
-        mean = state.m0 + L @ (expm(C, 0.8) @ r)
+        # the flow of the last unit vector carries m_t - m0 in its first d
+        mean = state.m0 + expm(C, 0.8)[:3, -1]
         want = rk4_moments(sde, state, t, 4000).mean
         np.testing.assert_allclose(mean, want, rtol=0,
                                    atol=1e-9 * max(np.abs(want).max(), 1.0))
@@ -84,31 +83,30 @@ def test_beta_scalar_hand_case():
     t0 = 0.5
     sde = LinearSde(d=1, m=1, A=[[B]], a0=[a0], a1=[a1], B=[[[B]]],
                     b0=[[sigma]], t0=t0)
-    betas = build_beta(sde)
+    beta1, beta2, _, beta4, beta5 = build_beta(sde)
     abar = a0 + a1 * t0
-    np.testing.assert_allclose(betas.beta1, [[sigma ** 2]], rtol=1e-15)
-    np.testing.assert_allclose(betas.beta2, [[0.0]], atol=0)
-    np.testing.assert_allclose(betas.beta4, [[2 * abar + 2 * sigma * B]],
+    np.testing.assert_allclose(beta1, [[sigma ** 2]], rtol=1e-15)
+    np.testing.assert_allclose(beta2, [[0.0]], atol=0)
+    np.testing.assert_allclose(beta4, [[2 * abar + 2 * sigma * B]],
                                rtol=1e-15)
-    np.testing.assert_allclose(betas.beta5, [[2 * a1]], rtol=1e-15)
+    np.testing.assert_allclose(beta5, [[2 * a1]], rtol=1e-15)
 
 
 def test_script_B_matches_direct_forcing():
-    # B1 + B2 s + B3 s^2 + (B4 + s B5) e^{C s} r reproduces the exact
-    # inhomogeneity of the second-moment ODE along the true mean path
+    # B1 + B2 s + B3 s^2 + (beta4 + s beta5) (m_s - m0) reproduces the
+    # exact inhomogeneity of the second-moment ODE along the true mean path
     rng = np.random.default_rng(42)
     for _ in range(5):
         d = int(rng.integers(1, 4))
         sde, state = random_stable_model(rng, d, "non_autonomous")
-        sb = build_script_B(sde, state, SdeClass.NON_AUTONOMOUS)
-        C, _, r = build_C(sde, state, SdeClass.NON_AUTONOMOUS)
+        B1, B2, B3, beta4, beta5 = build_script_B(sde, state)
+        C = build_C(sde, state, SdeClass.NON_AUTONOMOUS)
         for s in (0.0, 0.3, 1.2):
             mean_s = moments_at(sde, state, sde.t0 + s).mean
             _, forcing = moment_ode_rhs(sde, mean_s, np.zeros((d, d)),
                                         sde.t0 + s)
-            flow = expm(C, s) @ r
-            got = (sb.B1 + sb.B2 * s + sb.B3 * s ** 2
-                   + (sb.B4 + s * sb.B5) @ flow)
+            flow = expm(C, s)[:d, -1]
+            got = B1 + B2 * s + B3 * s ** 2 + (beta4 + s * beta5) @ flow
             np.testing.assert_allclose(
                 got, vec(forcing), rtol=0,
                 atol=1e-10 * max(np.abs(forcing).max(), 1.0))
@@ -117,10 +115,10 @@ def test_script_B_matches_direct_forcing():
 def test_script_B_additive_zeros():
     rng = np.random.default_rng(43)
     sde, state = random_stable_model(rng, 3, "autonomous_additive")
-    sb = build_script_B(sde, state)
-    np.testing.assert_array_equal(sb.B2, np.zeros_like(sb.B2))
-    np.testing.assert_array_equal(sb.B3, np.zeros_like(sb.B3))
-    np.testing.assert_array_equal(sb.B5, np.zeros_like(sb.B5))
+    _, B2, B3, _, beta5 = build_script_B(sde, state)
+    np.testing.assert_array_equal(B2, np.zeros_like(B2))
+    np.testing.assert_array_equal(B3, np.zeros_like(B3))
+    np.testing.assert_array_equal(beta5, np.zeros_like(beta5))
 
 
 def test_assemble_dimensions():
@@ -139,18 +137,80 @@ def test_assemble_block_structure():
     rng = np.random.default_rng(45)
     sde, state = random_stable_model(rng, 2, "non_autonomous")
     aug = assemble(sde, state)
-    offs = {name: (off, size) for name, off, size in aug.block_offsets}
-    assert set(offs) == {"secmom", "mean_ramp", "mean_flow",
-                         "time_sq", "time", "one"}
+    d, dd, w = 2, 4, 4
+    # secmom, mean ramp, mean flow, s^2, s and 1
+    offs = (0, dd, dd + w, dd + 2 * w, dd + 2 * w + 1, dd + 2 * w + 2)
+    assert aug.n == offs[-1] + 1
     # strictly block upper triangular below the diagonal blocks
-    for name, (off, size) in offs.items():
-        np.testing.assert_array_equal(aug.M[off:off + size, :off], 0.0)
-    # u seeds vec(P0), r, and the constant 1
+    for off in offs:
+        np.testing.assert_array_equal(aug.M[off:, :off], 0.0)
+    C = build_C(sde, state, SdeClass.NON_AUTONOMOUS)
+    np.testing.assert_array_equal(aug.M[:dd, :dd], build_calA(sde))
+    np.testing.assert_array_equal(aug.M[dd:dd + w, dd:dd + w], C)
+    np.testing.assert_array_equal(aug.M[dd + w:dd + 2 * w, dd + w:dd + 2 * w], C)
+    # u seeds vec(P0), the mean flow's last unit vector r, and the constant 1
     np.testing.assert_array_equal(aug.u[aug.secmom_slice], vec(state.P0))
     assert aug.u[-1] == 1.0
-    flow_off, flow_size = offs["mean_flow"]
-    np.testing.assert_array_equal(aug.u[flow_off:flow_off + flow_size],
-                                  np.eye(flow_size)[-1])
+    np.testing.assert_array_equal(aug.u[dd + w:dd + 2 * w], np.eye(w)[-1])
+    assert aug.mean_slice == slice(dd + w, dd + w + d)
+
+
+def _kronecker_assembly(sde, state, formulation):
+    """M and u laid out as in the paper, from Kronecker products and L, r."""
+    d, dd = sde.d, sde.d * sde.d
+    abar, bbar = sde.drift_forcing(sde.t0), sde.noise_forcing(sde.t0)
+    calA = kron_sum(sde.A, sde.A)
+    beta4 = kron_sum_vec(abar, abar)
+    beta5 = kron_sum_vec(sde.a1, sde.a1)
+    for i in range(sde.m):
+        Bi, bar_i, b1_i = sde.B[i], bbar[i][:, None], sde.b1[i][:, None]
+        calA = calA + kron(Bi, Bi)
+        beta4 = beta4 + kron(bar_i, Bi) + kron(Bi, bar_i)
+        beta5 = beta5 + kron(b1_i, Bi) + kron(Bi, b1_i)
+    B1 = vec(bbar.T @ bbar) + beta4 @ state.m0
+    B2 = vec(bbar.T @ sde.b1 + sde.b1.T @ bbar) + beta5 @ state.m0
+    B3 = vec(sde.b1.T @ sde.b1)
+    drive = sde.A @ state.m0 + abar
+    w = d + 1 if formulation is Formulation.AUTONOMOUS else d + 2
+    C = np.zeros((w, w))
+    C[:d, :d] = sde.A
+    C[:d, w - 1] = drive
+    if w == d + 2:
+        C[:d, d] = sde.a1
+        C[d, d + 1] = 1.0
+    L = np.eye(d, w)
+    r = np.eye(w)[-1]
+    B4, B5 = beta4 @ L, beta5 @ L
+    if formulation is Formulation.AUTONOMOUS:
+        M = np.block([[calA, B1[:, None], B4],
+                      [np.zeros((1, dd + 1 + w))],
+                      [np.zeros((w, dd + 1)), C]])
+        u = np.concatenate([vec(state.P0), [1.0], r])
+        return M, u
+    time = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    M = np.block([[calA, B5, B4, B3[:, None], B2[:, None], B1[:, None]],
+                  [np.zeros((w, dd)), C, np.eye(w), np.zeros((w, 3))],
+                  [np.zeros((w, dd + w)), C, np.zeros((w, 3))],
+                  [np.zeros((3, dd + 2 * w)), time]])
+    u = np.concatenate([vec(state.P0), np.zeros(w), r, [0.0, 0.0, 1.0]])
+    return M, u
+
+
+def test_assemble_matches_kronecker_construction():
+    rng = np.random.default_rng(60)
+    for d in range(1, 7):
+        for m in range(4):
+            for kind in CLASSES:
+                sde, state = random_stable_model(rng, d, kind, m=m)
+                forms = [Formulation.GENERAL]
+                if kind != "non_autonomous":
+                    forms.append(Formulation.AUTONOMOUS)
+                for formulation in forms:
+                    aug = assemble(sde, state, formulation)
+                    M, u = _kronecker_assembly(sde, state, formulation)
+                    assert aug.M.shape == M.shape
+                    assert rel_diff(aug.M, M) <= 1e-15
+                    assert rel_diff(aug.u, u) <= 1e-15
 
 
 def test_assemble_formulation_validation():
@@ -213,6 +273,22 @@ def test_matches_rk4_all_classes():
             ref = rk4_moments(sde, state, t, 4000)
             assert rel_diff(res.mean, ref.mean, floor=1.0) < 1e-8
             assert rel_diff(res.secmom, ref.secmom) < 1e-8
+
+
+def test_overflowing_moments_raise_typed_error():
+    # e^{2 * 333} P0 is not representable, on the vector and additive routes
+    state = MomentState(m0=[1e10], P0=[[1e20]])
+    mult = LinearSde(d=1, m=1, A=[[333.0]], a0=[0.0], B=[[[0.1]]], b0=[[0.0]])
+    add = LinearSde(d=1, m=1, A=[[333.0]], a0=[0.0], b0=[[1.0]])
+    for sde in (mult, add):
+        with pytest.raises(ExpmOverflowError):
+            moments_at(sde, state, 1.0)
+        with pytest.raises(ExpmOverflowError):
+            propagate_grid(sde, state, 0.5, 2)
+        with pytest.raises(ExpmOverflowError):
+            moments_baseline(sde, state, 1.0)
+    with pytest.raises(ExpmOverflowError):
+        moments_at(mult, state, 1.0, options=ExpmOptions(method="action"))
 
 
 def test_formulation_consistency():
