@@ -210,7 +210,9 @@ def expm_action(a, v, t: float = 1.0) -> np.ndarray:
     invariance (happy breakdown), or when the basis spans the full space,
     where the projection is exact. Reaching 96 basis vectors first raises
     :class:`ExpmConvergenceError` carrying the last estimate as its
-    ``residual``; the dense exponential is then the remedy.
+    ``residual``; the dense exponential is then the remedy. A product that
+    leaves the double range comes back non-finite, without a numpy
+    warning; :func:`~sdemoments.moments.make_result` reports it.
     """
     a = _as_square(a)
     v = np.asarray(v, dtype=float)
@@ -247,10 +249,12 @@ def expm_action(a, v, t: float = 1.0) -> np.ndarray:
         breakdown = h_next <= 1e-14 * max(1.0, np.abs(h[:m, :m]).max())
         if breakdown or m == cap or m >= checkpoint:
             y = expm(h[:m, :m], t)[:, 0]
-            estimate = t * h_next * abs(y[-1]) / np.linalg.norm(y)
-            # an invariant subspace or a full basis makes the projection exact
-            if breakdown or m == n or estimate <= _KRYLOV_TOL:
-                return beta * (y @ q)
+            # a finite y can overflow in its norm or in the product
+            with np.errstate(over="ignore", invalid="ignore"):
+                estimate = t * h_next * abs(y[-1]) / np.linalg.norm(y)
+                # an invariant subspace or a full basis makes the projection exact
+                if breakdown or m == n or estimate <= _KRYLOV_TOL:
+                    return beta * (y @ q)
             checkpoint = math.ceil(1.25 * m)
         basis[j + 1] = w / h_next
 

@@ -360,9 +360,12 @@ def moments_at(sde: LinearSde, state: MomentState, t: float,
     tau = _elapsed(sde, t)
     aug = assemble(sde, state, formulation)
     use_action = _wants_action(aug, options)
+    # products of a finite exponential may still overflow; make_result
+    # reports that as ExpmOverflowError, so numpy's warning is silenced
     if aug.formulation is Formulation.ADDITIVE:
         E = expm(aug.M, tau)
-        mean, secmom = _additive_extract(aug, state, E)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, secmom = _additive_extract(aug, state, E)
     else:
         v = None
         if use_action:
@@ -373,7 +376,9 @@ def moments_at(sde: LinearSde, state: MomentState, t: float,
                 if options is not None:
                     raise
         if v is None:
-            v = expm(aug.M, tau) @ aug.u
+            E = expm(aug.M, tau)
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = E @ aug.u
         mean, secmom = _vector_extract(aug, state, v)
     return make_result(t, mean, secmom)
 
@@ -405,24 +410,27 @@ def propagate_grid(sde: LinearSde, state: MomentState, step: float,
     if aug.formulation is Formulation.ADDITIVE:
         E = expm(aug.M, step)
         W = np.eye(aug.n)
-        for k in range(1, n_steps + 1):
-            W = E @ W
-            mean, secmom = _additive_extract(aug, state, W)
-            results.append(make_result(sde.t0 + k * step, mean, secmom))
+        # make_result reports overflow, as in moments_at
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, n_steps + 1):
+                W = E @ W
+                mean, secmom = _additive_extract(aug, state, W)
+                results.append(make_result(sde.t0 + k * step, mean, secmom))
         return results
 
     E = None if use_action else expm(aug.M, step)
     v = aug.u.copy()
-    for k in range(1, n_steps + 1):
-        try:
-            v = expm_action(aug.M, v, step) if E is None else E @ v
-        except ExpmConvergenceError:
-            if options is not None:
-                raise
-            E = expm(aug.M, step)  # Krylov failed: dense from this step on
-            v = E @ v
-        mean, secmom = _vector_extract(aug, state, v)
-        results.append(make_result(sde.t0 + k * step, mean, secmom))
+    with np.errstate(over="ignore", invalid="ignore"):  # as above
+        for k in range(1, n_steps + 1):
+            try:
+                v = expm_action(aug.M, v, step) if E is None else E @ v
+            except ExpmConvergenceError:
+                if options is not None:
+                    raise
+                E = expm(aug.M, step)  # Krylov failed: dense from this step on
+                v = E @ v
+            mean, secmom = _vector_extract(aug, state, v)
+            results.append(make_result(sde.t0 + k * step, mean, secmom))
     return results
 
 
@@ -503,9 +511,10 @@ def moments_baseline(sde: LinearSde, state: MomentState, t: float) -> MomentResu
     # the mean flow starts at the last unit vector r, so e^{C tau} r is the
     # last column of e^{C tau}, and m_t - m0 is its first d entries
     mean = state.m0 + F3[:d, -1]
-    secmom_vec = (F1 @ state.P0.ravel("F")
-                  + g1
-                  + tau * g2 - h2
-                  + tau * tau * g3 - 2.0 * tau * h3 + 2.0 * k3
-                  + (h4 + tau * g5 - h5)[:, -1])
+    with np.errstate(over="ignore", invalid="ignore"):  # make_result reports it
+        secmom_vec = (F1 @ state.P0.ravel("F")
+                      + g1
+                      + tau * g2 - h2
+                      + tau * tau * g3 - 2.0 * tau * h3 + 2.0 * k3
+                      + (h4 + tau * g5 - h5)[:, -1])
     return make_result(t, mean, secmom_vec.reshape((d, d), order="F"))

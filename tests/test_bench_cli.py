@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -132,8 +133,13 @@ def test_cli_moments_overflow_is_a_computation_failure(tmp_path, capsys):
     path = tmp_path / "overflow.json"
     for noise in ({"B": [[[0.1]]], "b0": [[0.0]]}, {"b0": [[1.0]]}):
         path.write_text(json.dumps({**base, **noise}))
-        assert main(["moments", str(path), "--t", "1.0"]) == 1
-        assert "overflow" in capsys.readouterr().err
+        # a numpy RuntimeWarning would raise here instead of reaching stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["moments", str(path), "--t", "1.0"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "overflow" in err[0]
 
 
 def test_cli_usage_error():

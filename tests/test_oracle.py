@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import sdemoments.oracle
 from sdemoments import (LinearSde, McConfig, MomentState, euler_maruyama_mc,
                         moment_ode_rhs, moments_at, rk4_moments)
-from support import random_stable_model
+from sdemoments.oracle import _initial_factor
+from support import random_stable_model, rel_diff
 
 
 def test_rhs_zero_model():
@@ -31,6 +33,55 @@ def test_rhs_preserves_symmetry():
         _, dP = moment_ode_rhs(sde, m, P, 0.7)
         np.testing.assert_allclose(dP, dP.T, rtol=0,
                                    atol=1e-13 * np.abs(dP).max())
+
+
+def _rhs_per_channel(sde, m, P, t):
+    """The moment ODE right-hand side with one loop pass per noise channel."""
+    a_t = sde.drift_forcing(t)
+    dm = sde.A @ m + a_t
+    dP = sde.A @ P + P @ sde.A.T
+    dP = dP + np.outer(a_t, m) + np.outer(m, a_t)
+    if sde.m:
+        b_t = sde.noise_forcing(t)
+        for i in range(sde.m):
+            Bi = sde.B[i]
+            dP = dP + Bi @ P @ Bi.T
+            Bm = Bi @ m
+            dP = dP + np.outer(Bm, b_t[i]) + np.outer(b_t[i], Bm)
+        dP = dP + b_t.T @ b_t
+    return dm, dP
+
+
+def test_rhs_matches_per_channel_reference():
+    rng = np.random.default_rng(65)
+    for d in range(1, 6):
+        for n_channels in range(4):
+            sde, _ = random_stable_model(rng, d, "non_autonomous", m=n_channels)
+            m = rng.standard_normal(d)
+            G = rng.standard_normal((d, d))
+            for P in (G @ G.T, G):  # G: a non-symmetric P
+                t = sde.t0 + 0.7
+                dm, dP = moment_ode_rhs(sde, m, P, t)
+                ref_m, ref_P = _rhs_per_channel(sde, m, P, t)
+                assert rel_diff(dm, ref_m) <= 1e-14
+                assert rel_diff(dP, ref_P) <= 1e-14
+
+
+def test_rk4_calls_rhs_four_times_per_step(monkeypatch):
+    # the benchmark's tracer counts these calls: one per RK4 stage
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return moment_ode_rhs(*args)
+
+    rng = np.random.default_rng(66)
+    sde, state = random_stable_model(rng, 2, "non_autonomous")
+    plain = rk4_moments(sde, state, sde.t0 + 1.0, 7)
+    monkeypatch.setattr(sdemoments.oracle, "moment_ode_rhs", counting)
+    counted = rk4_moments(sde, state, sde.t0 + 1.0, 7)
+    assert len(calls) == 4 * 7
+    np.testing.assert_array_equal(counted.secmom, plain.secmom)
 
 
 def test_rk4_initial_time():
@@ -94,18 +145,49 @@ def test_mc_reproducible_and_seed_sensitive():
 
 
 def test_mc_chunking_does_not_change_paths(monkeypatch):
-    # per-path streams: shrinking the vectorization chunk reorders only
-    # the reduction, so estimates agree to roundoff
+    # one stream read in path order: changing the vectorization chunk,
+    # also to one that divides neither n_paths nor the default chunk,
+    # reorders only the reduction, so estimates agree to roundoff
     rng = np.random.default_rng(64)
     sde, state = random_stable_model(rng, 2, "autonomous_multiplicative", m=1)
     cfg = McConfig(n_paths=2500, n_steps=30, seed=7)
     t = sde.t0 + 0.3
     coarse = euler_maruyama_mc(sde, state, t, cfg)
-    monkeypatch.setattr("sdemoments.oracle._CHUNK", 128)
-    fine = euler_maruyama_mc(sde, state, t, cfg)
-    np.testing.assert_allclose(fine.mean, coarse.mean, rtol=1e-12)
-    np.testing.assert_allclose(fine.secmom, coarse.secmom, rtol=1e-12)
-    np.testing.assert_allclose(fine.stderr_mean, coarse.stderr_mean, rtol=1e-9)
+    for chunk in (128, 7):
+        monkeypatch.setattr("sdemoments.oracle._CHUNK", chunk)
+        fine = euler_maruyama_mc(sde, state, t, cfg)
+        np.testing.assert_allclose(fine.mean, coarse.mean, rtol=1e-12)
+        np.testing.assert_allclose(fine.secmom, coarse.secmom, rtol=1e-12)
+        np.testing.assert_allclose(fine.stderr_mean, coarse.stderr_mean,
+                                   rtol=1e-9)
+
+
+def test_mc_matches_documented_stream_layout():
+    # path j reads draws j L .. (j + 1) L - 1 of default_rng(seed), with
+    # L = d + n_steps m: d for the initial state, then dW step by step
+    n_paths, n_steps, d, m, seed = 50, 20, 2, 2, 11
+    rng = np.random.default_rng(67)
+    sde, state = random_stable_model(rng, d, "non_autonomous", m=m)
+    t = sde.t0 + 0.4
+    h = (t - sde.t0) / n_steps
+    draws = np.random.default_rng(seed).standard_normal((n_paths, d + n_steps * m))
+    factor = _initial_factor(state)
+    finals = []
+    for z in draws:
+        x = state.m0 + factor @ z[:d]
+        for step in range(n_steps):
+            tk = sde.t0 + step * h
+            dw = np.sqrt(h) * z[d + step * m:d + (step + 1) * m]
+            b_t = sde.noise_forcing(tk)
+            x = (x + (sde.A @ x + sde.drift_forcing(tk)) * h
+                 + sum((sde.B[i] @ x + b_t[i]) * dw[i] for i in range(m)))
+        finals.append(x)
+    finals = np.array(finals)
+    mc = euler_maruyama_mc(sde, state, t, McConfig(n_paths, n_steps, seed))
+    np.testing.assert_allclose(mc.mean, finals.mean(axis=0),
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(mc.secmom, finals.T @ finals / n_paths,
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_mc_zero_noise_collapses():
