@@ -1,18 +1,20 @@
 """Where the Krylov action beats the dense exponential.
 
-moments_at picks its route from the augmented size n alone: the dense
-exponential of the whole matrix up to _DENSE_LIMIT, the Krylov action
-e^{M tau} u beyond. This script times both routes on Hilbert and
-random-stable systems at d = 6..16 in both vector formulations (non-
-autonomous, n = d^2 + 2d + 7; autonomous multiplicative, n = d^2 + d + 2)
-at tau = 1 and tau = 10, and prints the best of 5 for each route, their
-relative agreement and which route the default takes.
+moments_at and propagate_grid pick their route from the augmented size n
+alone: the dense exponential of the whole matrix up to _DENSE_LIMIT, the
+Krylov action e^{M tau} u beyond. This script times both routes on
+Hilbert and random-stable systems at d = 6..16 in both vector
+formulations (non-autonomous, n = d^2 + 2d + 7; autonomous
+multiplicative, n = d^2 + d + 2) at tau = 1 and tau = 10, and prints the
+best of 5 for each route, their relative agreement and which route the
+default takes.
 
-propagate_grid reuses one dense exponential for every grid step but runs
-one Krylov action per step, so its crossover lies higher; a second table
-times 20-step grids to tau on the same systems at d = 10..16 against its
-own limit, _GRID_DENSE_LIMIT. BLAS is pinned to one thread unless the
-environment already sets it.
+A grid costs one exponential on either route: the dense route reuses
+e^{M step} for every step, and the action route takes every step in one
+Krylov basis that must converge at the grid's last time. A second table
+times 20-step grids to tau on the same systems at d = 10..16 against the
+same limit. BLAS is pinned to one thread unless the environment already
+sets it.
 
     python3 demos/krylov_crossover.py
 """
@@ -28,7 +30,7 @@ import numpy as np  # noqa: E402
 
 from sdemoments import (ExpmOptions, LinearSde, MomentState,  # noqa: E402
                         assemble, hilbert_systems, moments_at, propagate_grid)
-from sdemoments.moments import _DENSE_LIMIT, _GRID_DENSE_LIMIT  # noqa: E402
+from sdemoments.moments import _DENSE_LIMIT  # noqa: E402
 
 DENSE = ExpmOptions(method="dense")
 ACTION = ExpmOptions(method="action")
@@ -78,10 +80,10 @@ def systems(rng, d):
             yield system, label, sde, state
 
 
-def table(title, dims, limit, run):
+def table(title, dims, run):
     """Time run(sde, state, tau, options) on both routes over dims."""
     rng = np.random.default_rng(2012)
-    print(f"\n{title}, limit n = {limit}")
+    print(f"\n{title}, limit n = {_DENSE_LIMIT}")
     print("system  formulation     d    n   tau   dense ms  action ms  "
           "agreement  default")
     for d in dims:
@@ -90,17 +92,16 @@ def table(title, dims, limit, run):
             for tau in (1.0, 10.0):
                 dense_ms, dense = best_of(lambda: run(sde, state, tau, DENSE))
                 action_ms, action = best_of(lambda: run(sde, state, tau, ACTION))
-                route = "action" if n > limit else "dense"
+                route = "action" if n > _DENSE_LIMIT else "dense"
                 print(f"{system:7s} {label:15s} {d:2d} {n:4d} {tau:5.0f} "
                       f"{dense_ms:9.2f} {action_ms:10.2f} "
                       f"{agreement(action, dense):10.1e}  {route}")
 
 
 print(f"BLAS threads {os.environ['OPENBLAS_NUM_THREADS']}")
-table("moments_at at t0 + tau", range(6, 17), _DENSE_LIMIT,
+table("moments_at at t0 + tau", range(6, 17),
       lambda sde, state, tau, options:
       moments_at(sde, state, sde.t0 + tau, options))
 table("propagate_grid, 20 steps to t0 + tau (last grid time)", range(10, 17),
-      _GRID_DENSE_LIMIT,
       lambda sde, state, tau, options:
       propagate_grid(sde, state, tau / 20, 20, options)[-1])

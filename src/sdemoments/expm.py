@@ -67,8 +67,8 @@ class ExpmConvergenceError(ExpmError):
     ----------
     residual : float
         Saad's a posteriori estimate t h_{m+1,m} |y_m| / ||y|| of the
-        relative error at the last checkpoint, where m is the basis size and
-        y = e^(H_m t) e_1 the projected exponential's first column.
+        relative error at the last checkpoint (on a grid, the largest over its
+        times), with m the basis size and y = e^(H_m t) e_1.
     """
 
     def __init__(self, message: str, residual: float):
@@ -196,7 +196,7 @@ def expm(a, t: float = 1.0) -> np.ndarray:
     return result
 
 
-def expm_action(a, v, t: float = 1.0) -> np.ndarray:
+def expm_action(a, v, t: float = 1.0, n_steps: int | None = None) -> np.ndarray:
     """Product e^(a*t) @ v without forming the dense exponential.
 
     Builds an Arnoldi basis of the Krylov space span{v, a v, a^2 v, ...},
@@ -213,6 +213,13 @@ def expm_action(a, v, t: float = 1.0) -> np.ndarray:
     ``residual``; the dense exponential is then the remedy. A product that
     leaves the double range comes back non-finite, without a numpy
     warning; :func:`~sdemoments.moments.make_result` reports it.
+
+    With ``n_steps`` given, one basis serves a uniform grid: row k - 1 of
+    the ``(n_steps, n)`` result is e^(a*k*t) @ v. Checkpoints form every
+    y_k = e^(H_m k t) e_1 from the exponential of H_m t by doubling, raise
+    :class:`ExpmOverflowError` if one overflows, and require the estimate
+    k t h_{m+1,m} |y_k[m]| / ||y_k|| to meet the tolerance at every k: a
+    long grid converges at horizon n_steps * t or raises.
     """
     a = _as_square(a)
     v = np.asarray(v, dtype=float)
@@ -223,11 +230,13 @@ def expm_action(a, v, t: float = 1.0) -> np.ndarray:
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+    if n_steps is not None and n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
 
     n = a.shape[0]
     beta = np.linalg.norm(v)
     if t == 0.0 or beta == 0.0:
-        return v.copy()
+        return v.copy() if n_steps is None else np.tile(v, (n_steps, 1))
 
     cap = min(n, _MAX_KRYLOV)
     basis = np.zeros((cap + 1, n))  # row j is the j-th Arnoldi vector
@@ -248,13 +257,24 @@ def expm_action(a, v, t: float = 1.0) -> np.ndarray:
         m = j + 1
         breakdown = h_next <= 1e-14 * max(1.0, np.abs(h[:m, :m]).max())
         if breakdown or m == cap or m >= checkpoint:
-            y = expm(h[:m, :m], t)[:, 0]
-            # a finite y can overflow in its norm or in the product
+            step = expm(h[:m, :m], t)
+            y, power = step[:, :1].T, step  # row k - 1 is e^(H_m k t) e_1
+            # a later step, a norm or the product can overflow
             with np.errstate(over="ignore", invalid="ignore"):
-                estimate = t * h_next * abs(y[-1]) / np.linalg.norm(y)
+                # doubling: rows L + 1..2L are rows 1..L times e^(H_m L t)
+                while len(y) < (n_steps or 1):
+                    y, power = np.vstack([y, y @ power.T])[:n_steps], power @ power
+                if not np.all(np.isfinite(y)):  # as expm(H_m, n_steps t) would
+                    raise ExpmOverflowError("grid steps overflow double precision")
+                # each row's norm by one dot, as np.linalg.norm forms a vector's
+                norms = np.sqrt(np.matmul(y[:, None], y[:, :, None]).ravel())
+                # the estimate for horizon k t; np.max keeps a nan from overflow
+                estimate = np.max(np.arange(1, len(y) + 1) * t * h_next
+                                  * np.abs(y[:, -1]) / norms)
                 # an invariant subspace or a full basis makes the projection exact
                 if breakdown or m == n or estimate <= _KRYLOV_TOL:
-                    return beta * (y @ q)
+                    rows = [beta * (yk @ q) for yk in y]  # as a one-vector call forms it
+                    return rows[0] if n_steps is None else np.array(rows)
             checkpoint = math.ceil(1.25 * m)
         basis[j + 1] = w / h_next
 

@@ -36,15 +36,10 @@ __all__ = [
     "moments_baseline",
 ]
 
-#: augmented dimension above which moments_at defaults to the Krylov path;
-#: demos/krylov_crossover.py measures both routes on either side of it
+#: augmented dimension above which moments_at and propagate_grid default to
+#: the Krylov path; demos/krylov_crossover.py measures both routes on either
+#: side of it
 _DENSE_LIMIT = 120
-#: the same for propagate_grid, which runs one Krylov action per grid step
-#: but one dense exponential per grid: at 20 steps dense wins up to n = 184
-#: and the action from n = 242 (demos/krylov_crossover.py), and longer
-#: grids move the crossover higher, so dense stays until the action route
-#: reuses one Krylov basis across steps
-_GRID_DENSE_LIMIT = 400
 
 #: largest predicted relative error the additive formulation may return
 _ADDITIVE_MAX_ERROR = 1e-6
@@ -297,10 +292,9 @@ def _elapsed(sde: LinearSde, t: float) -> float:
     return tau
 
 
-def _wants_action(aug: AugmentedSystem, options: ExpmOptions | None,
-                  limit: int = _DENSE_LIMIT) -> bool:
+def _wants_action(aug: AugmentedSystem, options: ExpmOptions | None) -> bool:
     if options is None:
-        return aug.formulation is not Formulation.ADDITIVE and aug.n > limit
+        return aug.formulation is not Formulation.ADDITIVE and aug.n > _DENSE_LIMIT
     if options.method == "action" and aug.formulation is Formulation.ADDITIVE:
         raise ValueError(
             "expm-action is unavailable for the additive formulation: "
@@ -335,6 +329,36 @@ def _vector_extract(aug: AugmentedSystem, state: MomentState,
     return mean, secmom
 
 
+def _propagate(aug: AugmentedSystem, state: MomentState, step: float,
+               times: list[float],
+               options: ExpmOptions | None) -> list[MomentResult]:
+    """Moments labelled times[k - 1] after k steps of one exponential e^{M step}."""
+    rows = None
+    if _wants_action(aug, options):
+        try:
+            rows = expm_action(aug.M, aug.u, step, len(times))
+        except ExpmConvergenceError:
+            # a route chosen by size alone is no promise of convergence
+            if options is not None:
+                raise
+    if rows is None:
+        E = expm(aug.M, step)
+    extract = _additive_extract if aug.u is None else _vector_extract
+    results = []
+    x = aug.u  # e^{M k step} u, or e^{M k step} itself for the additive formulation
+    # products of a finite exponential may still overflow; make_result
+    # reports that as ExpmOverflowError, so numpy's warning is silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, t in enumerate(times):
+            if rows is not None:
+                x = rows[k]
+            else:
+                x = E if x is None else E @ x
+            mean, secmom = extract(aug, state, x)
+            results.append(make_result(t, mean, secmom))
+    return results
+
+
 def moments_at(sde: LinearSde, state: MomentState, t: float,
                options: ExpmOptions | None = None,
                formulation: Formulation | None = None) -> MomentResult:
@@ -345,7 +369,8 @@ def moments_at(sde: LinearSde, state: MomentState, t: float,
     used up to n = 120 and the Krylov action route beyond, where it is
     faster (the additive formulation is always dense); should Krylov not
     converge within its basis cap, the dense route gives the result.
-    Passing :class:`ExpmOptions` forces the route it names.
+    Passing :class:`ExpmOptions` forces the route it names. This is the
+    one-step case of :func:`propagate_grid`, with the time label t.
 
     Raises
     ------
@@ -359,28 +384,7 @@ def moments_at(sde: LinearSde, state: MomentState, t: float,
     """
     tau = _elapsed(sde, t)
     aug = assemble(sde, state, formulation)
-    use_action = _wants_action(aug, options)
-    # products of a finite exponential may still overflow; make_result
-    # reports that as ExpmOverflowError, so numpy's warning is silenced
-    if aug.formulation is Formulation.ADDITIVE:
-        E = expm(aug.M, tau)
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean, secmom = _additive_extract(aug, state, E)
-    else:
-        v = None
-        if use_action:
-            try:
-                v = expm_action(aug.M, aug.u, tau)
-            except ExpmConvergenceError:
-                # a route chosen by size alone is no promise of convergence
-                if options is not None:
-                    raise
-        if v is None:
-            E = expm(aug.M, tau)
-            with np.errstate(over="ignore", invalid="ignore"):
-                v = E @ aug.u
-        mean, secmom = _vector_extract(aug, state, v)
-    return make_result(t, mean, secmom)
+    return _propagate(aug, state, tau, [t], options)[0]
 
 
 def propagate_grid(sde: LinearSde, state: MomentState, step: float,
@@ -389,13 +393,15 @@ def propagate_grid(sde: LinearSde, state: MomentState, step: float,
                    formulation: Formulation | None = None) -> list[MomentResult]:
     """Moments on the uniform grid t0 + k*step for k = 1..n_steps.
 
-    Exploits the exponential flow property: e^{M h} is computed once and
-    the augmented state is advanced by repeated multiplication, so the
-    whole grid costs a single exponential. Results accumulate rounding
-    of order n_steps * eps relative to per-time direct evaluation.
-    ``options`` and ``formulation`` act as in :func:`moments_at`, except
-    that with ``options=None`` the dense route is kept up to n = 400:
-    the action route runs one Krylov action per grid step. The additive
+    Exploits the exponential flow property: the dense route computes
+    e^{M step} once and advances the augmented state by repeated
+    multiplication, the action route takes every step in one Krylov basis,
+    so the whole grid costs a single exponential. Results accumulate
+    rounding of order n_steps * eps relative to per-time direct
+    evaluation. ``options`` and ``formulation`` act as in
+    :func:`moments_at`, with the same limit n = 120. The Krylov basis must
+    converge at the last grid time, n_steps * step after t0, or the named
+    action route raises :class:`ExpmConvergenceError`. The additive
     formulation raises :class:`ExpmError` at the first grid time where
     :func:`moments_at` would.
     """
@@ -404,34 +410,8 @@ def propagate_grid(sde: LinearSde, state: MomentState, step: float,
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
     aug = assemble(sde, state, formulation)
-    use_action = _wants_action(aug, options, _GRID_DENSE_LIMIT)
-    results = []
-
-    if aug.formulation is Formulation.ADDITIVE:
-        E = expm(aug.M, step)
-        W = np.eye(aug.n)
-        # make_result reports overflow, as in moments_at
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(1, n_steps + 1):
-                W = E @ W
-                mean, secmom = _additive_extract(aug, state, W)
-                results.append(make_result(sde.t0 + k * step, mean, secmom))
-        return results
-
-    E = None if use_action else expm(aug.M, step)
-    v = aug.u.copy()
-    with np.errstate(over="ignore", invalid="ignore"):  # as above
-        for k in range(1, n_steps + 1):
-            try:
-                v = expm_action(aug.M, v, step) if E is None else E @ v
-            except ExpmConvergenceError:
-                if options is not None:
-                    raise
-                E = expm(aug.M, step)  # Krylov failed: dense from this step on
-                v = E @ v
-            mean, secmom = _vector_extract(aug, state, v)
-            results.append(make_result(sde.t0 + k * step, mean, secmom))
-    return results
+    times = [sde.t0 + k * step for k in range(1, n_steps + 1)]
+    return _propagate(aug, state, step, times, options)
 
 
 def _vanloan_chain(diag_blocks: list[np.ndarray],

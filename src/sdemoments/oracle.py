@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import LinearSde, MomentState
-from .moments import MomentResult, make_result
+from .moments import MomentResult, _elapsed, make_result
 
 __all__ = [
     "McConfig",
@@ -58,9 +58,7 @@ def rk4_moments(sde: LinearSde, state: MomentState, t: float,
     Global error is O(h^4) in both moments. Raises RuntimeError naming
     the offending step if the iteration produces non-finite values.
     """
-    tau = float(t) - sde.t0
-    if tau < 0.0 or not np.isfinite(tau):
-        raise ValueError(f"t must be finite and >= t0 = {sde.t0}, got {t}")
+    tau = _elapsed(sde, t)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
 
@@ -187,9 +185,7 @@ def euler_maruyama_mc(sde: LinearSde, state: MomentState, t: float,
     spawned stream. Standard errors of exactly constant components are
     exactly zero.
     """
-    tau = float(t) - sde.t0
-    if tau < 0.0 or not np.isfinite(tau):
-        raise ValueError(f"t must be finite and >= t0 = {sde.t0}, got {t}")
+    tau = _elapsed(sde, t)
 
     d, m, n_steps = sde.d, sde.m, config.n_steps
     h = tau / n_steps
@@ -197,10 +193,12 @@ def euler_maruyama_mc(sde: LinearSde, state: MomentState, t: float,
     rng = np.random.default_rng(config.seed)
     acc = _Welford(d + d * d)
 
-    for lo in range(0, config.n_paths, _CHUNK):
-        k = min(_CHUNK, config.n_paths - lo)
+    L = d + n_steps * m
+    rows = min(_CHUNK, max(1, 2 ** 22 // L))  # at most 2^22 draws (32 MiB) a block
+    for lo in range(0, config.n_paths, rows):
+        k = min(rows, config.n_paths - lo)
         # C order: row j holds path lo + j's draws, consecutive in the stream
-        draws = rng.standard_normal((k, d + n_steps * m))
+        draws = rng.standard_normal((k, L))
         x0 = state.m0 + draws[:, :d] @ factor.T
         dW = draws[:, d:].reshape(k, n_steps, m)
         acc.add(_stats(_simulate(sde, x0, dW, h, n_steps), d))

@@ -1,4 +1,5 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -150,6 +151,9 @@ def test_action_trivial_cases():
     v = np.arange(5.0)
     np.testing.assert_array_equal(expm_action(a, v, 0.0), v)
     np.testing.assert_array_equal(expm_action(a, np.zeros(5), 1.0), np.zeros(5))
+    np.testing.assert_array_equal(expm_action(a, v, 0.0, 3), np.tile(v, (3, 1)))
+    np.testing.assert_array_equal(expm_action(a, np.zeros(5), 1.0, 2),
+                                  np.zeros((2, 5)))
 
 
 def test_action_happy_breakdown():
@@ -211,6 +215,8 @@ def test_action_input_validation():
         expm_action(a, np.zeros(4), 1.0)
     with pytest.raises(ValueError):
         expm_action(a, np.zeros(3), -1.0)
+    with pytest.raises(ValueError):
+        expm_action(a, np.ones(3), 1.0, 0)
 
 
 def test_options_name_a_known_route():
@@ -220,3 +226,79 @@ def test_options_name_a_known_route():
         ExpmOptions(method="Action")
     with pytest.raises(TypeError):
         ExpmOptions()
+
+
+def _single_vector_action(a, v, t):
+    """The one-vector Arnoldi evaluation as it stood before grid steps."""
+    n = a.shape[0]
+    beta = np.linalg.norm(v)
+    cap = min(n, expm_module._MAX_KRYLOV)
+    basis = np.zeros((cap + 1, n))
+    h = np.zeros((cap + 1, cap))
+    basis[0] = v / beta
+    checkpoint = 8
+    for j in range(cap):
+        w = a @ basis[j]
+        q = basis[:j + 1]
+        for _ in range(2):
+            c = q @ w
+            w -= c @ q
+            h[:j + 1, j] += c
+        h_next = np.linalg.norm(w)
+        h[j + 1, j] = h_next
+        m = j + 1
+        breakdown = h_next <= 1e-14 * max(1.0, np.abs(h[:m, :m]).max())
+        if breakdown or m == cap or m >= checkpoint:
+            y = expm(h[:m, :m], t)[:, 0]
+            estimate = t * h_next * abs(y[-1]) / np.linalg.norm(y)
+            if breakdown or m == n or estimate <= expm_module._KRYLOV_TOL:
+                return beta * (y @ q)
+            checkpoint = math.ceil(1.25 * m)
+        basis[j + 1] = w / h_next
+    raise ExpmConvergenceError("no convergence", residual=estimate)
+
+
+def test_action_without_steps_is_the_single_vector_evaluation():
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        n = int(rng.integers(2, 140))
+        a = rng.uniform(-1.0, 1.0, (n, n)) * rng.uniform(0.1, 4.0)
+        v = rng.uniform(-1.0, 1.0, n)
+        t = float(rng.uniform(0.1, 3.0))
+        got = expm_action(a, v, t)
+        assert got.shape == (n,)
+        np.testing.assert_array_equal(got, _single_vector_action(a, v, t))
+        # a one-step grid is the same evaluation
+        np.testing.assert_array_equal(expm_action(a, v, t, 1), got[None, :])
+
+
+def test_action_grid_rows_match_scipy():
+    # one basis for the whole grid: row k - 1 is e^(a k t) v
+    rng = np.random.default_rng(25)
+    cases = [(int(rng.integers(2, 40)), 1.0) for _ in range(6)]
+    cases += [(150, 0.2), (150, 0.05)]
+    for n, scale in cases:
+        a = rng.uniform(-1.0, 1.0, (n, n)) * scale
+        a -= np.eye(n) * 0.5 * scale * np.sqrt(n)
+        v = rng.uniform(-1.0, 1.0, n)
+        t = float(rng.uniform(0.05, 0.5))
+        n_steps = int(rng.integers(2, 25))
+        rows = expm_action(a, v, t, n_steps)
+        assert rows.shape == (n_steps, n)
+        for k, row in enumerate(rows, start=1):
+            want = scipy.linalg.expm(a * (k * t)) @ v
+            np.testing.assert_allclose(row, want, rtol=1e-10,
+                                       atol=1e-10 * max(np.abs(want).max(), 1.0))
+
+
+def test_action_grid_converges_at_its_last_horizon():
+    # one step of 0.1 converges where forty steps, horizon 4, need more
+    # than the 96-vector cap
+    rng = np.random.default_rng(23)
+    a = rng.uniform(-1.0, 1.0, (150, 150)) * 40.0
+    v = rng.uniform(-1.0, 1.0, 150)
+    want = scipy.linalg.expm(a * 0.05) @ v
+    np.testing.assert_allclose(expm_action(a, v, 0.05, 1)[0], want, rtol=1e-9,
+                               atol=1e-9 * np.abs(want).max())
+    with pytest.raises(ExpmConvergenceError):
+        expm_action(a, v, 0.05, 40)

@@ -11,8 +11,8 @@ from sdemoments import (ExpmConvergenceError, ExpmError, ExpmOptions,
                         kron, kron_sum, kron_sum_vec, moment_ode_rhs,
                         moments_at, moments_baseline, propagate_grid,
                         rk4_moments, vec)
-from sdemoments.moments import (_DENSE_LIMIT, _GRID_DENSE_LIMIT, _wants_action,
-                                build_beta, build_C, build_calA, build_script_B)
+from sdemoments.moments import (_DENSE_LIMIT, _wants_action, build_beta, build_C,
+                                build_calA, build_script_B)
 from support import CLASSES, random_stable_model, random_state, rel_diff
 
 moments_module = importlib.import_module("sdemoments.moments")
@@ -297,6 +297,16 @@ def test_overflowing_moments_raise_typed_error():
             moments_at(mult, state, 1.0, options=action)
         with pytest.raises(ExpmOverflowError):
             propagate_grid(mult, state, 0.5, 2, options=action)
+        # at n = 112 the 96-vector basis is never exact, and a later step
+        # of the grid's one basis overflows before it converges
+        rng = np.random.default_rng(0)
+        d = 10
+        big = LinearSde(d=d, m=1, A=3.0 * np.eye(d) + rng.uniform(-0.3, 0.3, (d, d)),
+                        a0=np.ones(d), B=rng.uniform(-0.1, 0.1, (1, d, d)),
+                        b0=np.ones((1, d)))
+        big_state = MomentState(m0=np.ones(d), P0=np.eye(d) + np.ones((d, d)))
+        with pytest.raises(ExpmOverflowError):
+            propagate_grid(big, big_state, 10.0, 12, options=action)
 
 
 def test_formulation_consistency():
@@ -343,12 +353,24 @@ def test_propagate_grid_matches_direct():
 
 
 def test_propagate_grid_single_step():
+    # one routine serves both: a one-step grid repeats moments_at bit for
+    # bit, on every formulation and route
     rng = np.random.default_rng(53)
-    sde, state = random_stable_model(rng, 3, "non_autonomous")
-    grid = propagate_grid(sde, state, 0.4, 1)
-    direct = moments_at(sde, state, sde.t0 + 0.4)
-    np.testing.assert_allclose(grid[0].mean, direct.mean, rtol=1e-13, atol=1e-13)
-    np.testing.assert_allclose(grid[0].secmom, direct.secmom, rtol=1e-13)
+    routes = {"non_autonomous": ("dense", "action"),
+              "autonomous_multiplicative": ("dense", "action"),
+              "autonomous_additive": ("dense",)}
+    for kind, methods in routes.items():
+        sde, state = random_stable_model(rng, 3, kind)
+        for options in [None] + [ExpmOptions(method=m) for m in methods]:
+            for tau in (0.4, 3.0):
+                t = sde.t0 + tau
+                direct = moments_at(sde, state, t, options)
+                [step] = propagate_grid(sde, state, t - sde.t0, 1, options)
+                for field in ("mean", "secmom", "variance"):
+                    np.testing.assert_array_equal(getattr(step, field),
+                                                  getattr(direct, field))
+                assert step.symmetry_defect == direct.symmetry_defect
+                assert step.min_variance_eig == direct.min_variance_eig
 
 
 def test_propagate_grid_zero_model():
@@ -444,21 +466,24 @@ def test_default_method_selection():
     assert aug_big.n == 20 * 20 + 2 * 20 + 7
     assert _wants_action(aug_big, None)
     assert not _wants_action(aug_big, ExpmOptions(method="dense"))
-    # either side of both limits: (d, kind) -> augmented size and the
-    # routes of moments_at and propagate_grid
-    sides = {(8, "non_autonomous"): (87, False, False),
-             (10, "autonomous_multiplicative"): (112, False, False),
-             (10, "non_autonomous"): (127, True, False),
-             (12, "autonomous_multiplicative"): (158, True, False),
-             (16, "non_autonomous"): (295, True, False),
-             (20, "autonomous_multiplicative"): (422, True, True)}
-    for (d, kind), (n, action, grid_action) in sides.items():
+    # either side of the one limit that moments_at and propagate_grid
+    # share: (d, kind) -> augmented size and the default route
+    sides = {(8, "non_autonomous"): (87, False),
+             (10, "autonomous_multiplicative"): (112, False),
+             (10, "non_autonomous"): (127, True),
+             (12, "autonomous_multiplicative"): (158, True),
+             (16, "non_autonomous"): (295, True),
+             (20, "autonomous_multiplicative"): (422, True)}
+    for (d, kind), (n, action) in sides.items():
         aug = assemble(*random_stable_model(rng, d, kind, m=1))
         assert aug.n == n
         assert (aug.n > _DENSE_LIMIT) == action
         assert _wants_action(aug, None) == action
-        assert (aug.n > _GRID_DENSE_LIMIT) == grid_action
-        assert _wants_action(aug, None, _GRID_DENSE_LIMIT) == grid_action
+    # the additive formulation reads matrix blocks, so it stays dense
+    additive, state_add = random_stable_model(rng, 70, "autonomous_additive")
+    aug_add = assemble(additive, state_add)
+    assert aug_add.n > _DENSE_LIMIT
+    assert not _wants_action(aug_add, None)
 
 
 def _band_systems(d):
@@ -474,12 +499,12 @@ def _band_systems(d):
 
 def test_action_matches_dense_across_switched_band():
     # the named action route raises rather than falls back, so every case
-    # here runs Krylov; the default routes must equal their chosen route
+    # here runs Krylov; the default routes of moments_at and propagate_grid
+    # must equal the route their shared limit chooses
     action, dense = ExpmOptions(method="action"), ExpmOptions(method="dense")
     for d in (10, 12, 14, 16):
         for sde, state in _band_systems(d):
             n = assemble(sde, state).n
-            assert n <= _GRID_DENSE_LIMIT
             for tau in (1.0, 10.0):
                 t = sde.t0 + tau
                 got = moments_at(sde, state, t, options=action)
@@ -492,14 +517,16 @@ def test_action_matches_dense_across_switched_band():
                 grid = propagate_grid(sde, state, tau, 2, options=action)
                 grid_dense = propagate_grid(sde, state, tau, 2, options=dense)
                 grid_default = propagate_grid(sde, state, tau, 2)
-                for got, want, default in zip(grid, grid_dense, grid_default):
+                grid_chosen = grid if n > _DENSE_LIMIT else grid_dense
+                for got, want, default, chosen in zip(grid, grid_dense,
+                                                      grid_default, grid_chosen):
                     assert got.t == want.t
                     assert rel_diff(got.mean, want.mean, floor=1.0) < 1e-10
                     assert rel_diff(got.secmom, want.secmom) < 1e-10
-                    np.testing.assert_array_equal(default.secmom, want.secmom)
+                    np.testing.assert_array_equal(default.secmom, chosen.secmom)
 
 
-def test_default_route_falls_back_to_dense_where_krylov_fails(monkeypatch):
+def test_default_route_falls_back_to_dense_where_krylov_fails():
     # a stiff drift at n = 158: Krylov needs more than its 96-vector cap
     rng = np.random.default_rng(1)
     d = 12
@@ -517,10 +544,32 @@ def test_default_route_falls_back_to_dense_where_krylov_fails(monkeypatch):
     got = moments_at(sde, state, 1.0)
     want = moments_at(sde, state, 1.0, options=dense)
     np.testing.assert_array_equal(got.secmom, want.secmom)
-    # the grid keeps the dense route to n = 400; lower its limit so that
-    # only the size chooses Krylov here too
-    monkeypatch.setattr(moments_module, "_GRID_DENSE_LIMIT", _DENSE_LIMIT)
     grid = propagate_grid(sde, state, 1.0, 2)
     grid_dense = propagate_grid(sde, state, 1.0, 2, options=dense)
     for got, want in zip(grid, grid_dense):
         np.testing.assert_array_equal(got.secmom, want.secmom)
+
+
+def test_action_grid_takes_one_krylov_basis(monkeypatch):
+    calls = []
+    action = moments_module.expm_action
+
+    def counting(*args):
+        calls.append(args[3:])
+        return action(*args)
+
+    monkeypatch.setattr(moments_module, "expm_action", counting)
+    rng = np.random.default_rng(61)
+    for kind in ("non_autonomous", "autonomous_multiplicative"):
+        sde, state = random_stable_model(rng, 4, kind, m=1)
+        grid = propagate_grid(sde, state, 0.3, 12,
+                              options=ExpmOptions(method="action"))
+        assert calls == [(12,)]
+        calls.clear()
+        dense = propagate_grid(sde, state, 0.3, 12,
+                               options=ExpmOptions(method="dense"))
+        assert calls == []
+        for got, want in zip(grid, dense):
+            assert got.t == want.t
+            assert rel_diff(got.mean, want.mean, floor=1.0) < 1e-10
+            assert rel_diff(got.secmom, want.secmom) < 1e-10

@@ -4,7 +4,7 @@ import pytest
 import sdemoments.oracle
 from sdemoments import (LinearSde, McConfig, MomentState, euler_maruyama_mc,
                         moment_ode_rhs, moments_at, rk4_moments)
-from sdemoments.oracle import _initial_factor
+from sdemoments.oracle import _initial_factor, _simulate
 from support import random_stable_model, rel_diff
 
 
@@ -160,6 +160,36 @@ def test_mc_chunking_does_not_change_paths(monkeypatch):
         np.testing.assert_allclose(fine.secmom, coarse.secmom, rtol=1e-12)
         np.testing.assert_allclose(fine.stderr_mean, coarse.stderr_mean,
                                    rtol=1e-9)
+
+
+def test_mc_blocks_are_capped_in_draws_as_well_as_paths(monkeypatch):
+    # at L = d + n_steps m = 5001 a block of 1024 paths would hold 5.1M
+    # draws; the cap of 2^22 draws takes 838 paths per block instead, and
+    # the estimates are those of one uncapped block of every path
+    n_paths, n_steps, seed = 1000, 5000, 5
+    sde = LinearSde(d=1, m=1, A=[[-1.0]], a0=[0.5], B=[[[0.2]]], b0=[[0.3]])
+    state = MomentState(m0=[1.0], P0=[[1.5]])
+    shapes = []
+    default_rng = np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, shape):
+            shapes.append(shape)
+            return self.rng.standard_normal(shape)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    mc = euler_maruyama_mc(sde, state, 1.0, McConfig(n_paths, n_steps, seed))
+    monkeypatch.undo()
+    assert shapes == [(838, 5001), (162, 5001)]
+    assert all(rows * cols <= 2 ** 22 for rows, cols in shapes)
+    draws = np.random.default_rng(seed).standard_normal((n_paths, 1 + n_steps))
+    x0 = state.m0 + draws[:, :1] @ _initial_factor(state).T
+    x = _simulate(sde, x0, draws[:, 1:, None], 1.0 / n_steps, n_steps)
+    np.testing.assert_allclose(mc.mean, x.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(mc.secmom, x.T @ x / n_paths, rtol=1e-12)
 
 
 def test_mc_matches_documented_stream_layout():
