@@ -133,8 +133,8 @@ def run_bench(dims: tuple[int, ...] = (2, 8), reps: int = 7,
     are stretched over an auto-sized inner loop. Also records the max
     relative disagreement of the two routes.
     """
-    if reps < 5:
-        raise ValueError(f"reps must be >= 5, got {reps!r}")
+    if not isinstance(reps, (int, np.integer)) or reps < 5:
+        raise ValueError(f"reps must be an integer >= 5, got {reps!r}")
     for d in dims:
         if not 1 <= d <= 12:
             raise ValueError(f"dims must lie in 1..12, got {d!r}")

@@ -230,8 +230,9 @@ def expm_action(a, v, t: float = 1.0, n_steps: int | None = None) -> np.ndarray:
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
-    if n_steps is not None and n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
+    if n_steps is not None and (not isinstance(n_steps, (int, np.integer))
+                                or n_steps < 1):
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
 
     n = a.shape[0]
     beta = np.linalg.norm(v)

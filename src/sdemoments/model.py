@@ -102,10 +102,11 @@ class LinearSde:
     t0: float = 0.0
 
     def __post_init__(self):
-        d = int(self.d)
-        m = int(self.m)
-        _check(d >= 1, f"d must be >= 1, got {self.d!r}", "d")
-        _check(m >= 0, f"m must be >= 0, got {self.m!r}", "m")
+        _check(isinstance(self.d, (int, np.integer)) and self.d >= 1,
+               f"d must be an integer >= 1, got {self.d!r}", "d")
+        _check(isinstance(self.m, (int, np.integer)) and self.m >= 0,
+               f"m must be an integer >= 0, got {self.m!r}", "m")
+        d, m = int(self.d), int(self.m)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "m", m)
         t0 = float(self.t0)

@@ -56,10 +56,10 @@ class Formulation(enum.Enum):
 class AugmentedSystem:
     """Augmented matrix M, initial vector u and extraction metadata.
 
-    ``mean_slice`` and ``secmom_slice`` index the propagated vector
-    e^{M h} u (pure selectors, never materialized as matrices). The
-    additive formulation has ``u = None``: its moments are read off
-    matrix blocks of e^{M h} directly.
+    ``mean_slice`` indexes the propagated vector e^{M h} u, whose first
+    d^2 entries are vec(P) (pure selectors, never materialized as
+    matrices). The additive formulation has ``u = None``: its moments are
+    read off matrix blocks of e^{M h} directly.
     """
 
     formulation: Formulation
@@ -68,7 +68,6 @@ class AugmentedSystem:
     M: np.ndarray
     u: np.ndarray | None
     mean_slice: slice | None
-    secmom_slice: slice | None
 
 
 @dataclass(frozen=True)
@@ -88,25 +87,28 @@ class MomentResult:
     min_variance_eig: float
 
 
-def make_result(t: float, mean: np.ndarray, secmom_raw: np.ndarray) -> MomentResult:
-    """Package raw (mean, second moment) into a symmetrized MomentResult.
+def make_result(times: list[float], means: np.ndarray,
+                secmoms_raw: np.ndarray) -> list[MomentResult]:
+    """Symmetrized MomentResults, as read-only row views, of raw moment stacks.
 
-    Raises :class:`ExpmOverflowError` when either moment is not finite.
+    Row k of ``means`` and ``secmoms_raw`` belongs to ``times[k]``. Raises
+    :class:`ExpmOverflowError` naming the first time with a non-finite moment.
     """
-    if not (np.isfinite(mean).all() and np.isfinite(secmom_raw).all()):
+    finite = np.isfinite(means).all(axis=1) & np.isfinite(secmoms_raw).all(axis=(1, 2))
+    if not finite.all():
         raise ExpmOverflowError(
-            f"moments at t = {float(t):g} overflow double precision; "
-            f"rescale the problem or reduce t")
-    defect = float(np.abs(secmom_raw - secmom_raw.T).max())
-    secmom = (secmom_raw + secmom_raw.T) / 2.0
-    variance = secmom - np.outer(mean, mean)
-    min_eig = float(np.linalg.eigvalsh(variance).min())
-    mean = np.array(mean, dtype=float)
-    for a in (mean, secmom, variance):
+            f"moments at t = {float(times[finite.argmin()]):g} overflow double "
+            f"precision; rescale the problem or reduce t")
+    defects = np.abs(secmoms_raw - secmoms_raw.transpose(0, 2, 1)).max(axis=(1, 2))
+    secmoms = (secmoms_raw + secmoms_raw.transpose(0, 2, 1)) / 2.0
+    variances = secmoms - means[:, :, None] * means[:, None, :]
+    min_eigs = np.linalg.eigvalsh(variances).min(axis=1)
+    for a in (means, secmoms, variances):
         a.setflags(write=False)
-    return MomentResult(t=float(t), mean=mean, secmom=secmom,
-                        variance=variance, symmetry_defect=defect,
-                        min_variance_eig=min_eig)
+    return [MomentResult(t=float(t), mean=mean, secmom=secmom, variance=variance,
+                         symmetry_defect=float(defect), min_variance_eig=float(eig))
+            for t, mean, secmom, variance, defect, eig
+            in zip(times, means, secmoms, variances, defects, min_eigs)]
 
 
 def build_beta(sde: LinearSde) -> tuple[np.ndarray, ...]:
@@ -234,7 +236,7 @@ def assemble(sde: LinearSde, state: MomentState,
         M[d, d + 1:2 * d + 1] = drive
         M[d + 1:2 * d + 1, d + 1:2 * d + 1] = -sde.A.T
         return AugmentedSystem(formulation=formulation, n=n, d=d, M=M, u=None,
-                               mean_slice=None, secmom_slice=None)
+                               mean_slice=None)
 
     # M = [[calA, forcing], [0, mean flow]]; u seeds vec(P0), the constant
     # 1 and the last unit vector of C, whose flow carries m_t - m0
@@ -254,8 +256,7 @@ def assemble(sde: LinearSde, state: MomentState,
         u[dd] = 1.0
         u[n - 1] = 1.0
         return AugmentedSystem(formulation=formulation, n=n, d=d, M=M, u=u,
-                               mean_slice=slice(dd + 1, dd + 1 + d),
-                               secmom_slice=slice(0, dd))
+                               mean_slice=slice(dd + 1, dd + 1 + d))
 
     # the mean flow appears twice, as a ramp s e^{C s} r and as e^{C s} r,
     # followed by s^2, s and 1
@@ -279,8 +280,7 @@ def assemble(sde: LinearSde, state: MomentState,
     u[dd + 2 * w - 1] = 1.0
     u[n - 1] = 1.0
     return AugmentedSystem(formulation=formulation, n=n, d=d, M=M, u=u,
-                           mean_slice=slice(dd + w, dd + w + d),
-                           secmom_slice=slice(0, dd))
+                           mean_slice=slice(dd + w, dd + w + d))
 
 
 def _elapsed(sde: LinearSde, t: float) -> float:
@@ -305,27 +305,30 @@ def _wants_action(aug: AugmentedSystem, options: ExpmOptions | None) -> bool:
 def _additive_extract(aug: AugmentedSystem, state: MomentState,
                       E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = aug.d
-    F1 = E[:d, :d]
-    H1 = E[:d, d + 1:2 * d + 1]
+    F1 = E[:, :d, :d]
+    H1 = E[:, :d, d + 1:2 * d + 1]
     # H1 grows like the adjoint block e^{-A^T tau} and H1 F1^T cancels that
     # growth, so rounding is amplified by about ||F1||_1 ||e^{-A^T tau}||_1
-    adjoint = E[d + 1:2 * d + 1, d + 1:2 * d + 1]
-    error = np.linalg.norm(F1, 1) * np.linalg.norm(adjoint, 1) * np.finfo(float).eps
-    if error > _ADDITIVE_MAX_ERROR:
+    adjoint = E[:, d + 1:2 * d + 1, d + 1:2 * d + 1]
+    error = (np.linalg.norm(F1, 1, axis=(1, 2))
+             * np.linalg.norm(adjoint, 1, axis=(1, 2)) * np.finfo(float).eps)
+    bad = error > _ADDITIVE_MAX_ERROR
+    if bad.any():
         raise ExpmError(
             f"additive formulation cancels catastrophically at this horizon "
-            f"(predicted relative error {error:.1e}); "
+            f"(predicted relative error {error[bad.argmax()]:.1e}); "
             f"use formulation=Formulation.AUTONOMOUS")
-    k1 = E[:d, -1]
-    mean = state.m0 + k1
-    secmom = F1 @ state.P0 @ F1.T + H1 @ F1.T + F1 @ H1.T
+    mean = state.m0 + E[:, :d, -1]
+    F1T = F1.transpose(0, 2, 1)
+    secmom = F1 @ state.P0 @ F1T + H1 @ F1T + F1 @ H1.transpose(0, 2, 1)
     return mean, secmom
 
 
 def _vector_extract(aug: AugmentedSystem, state: MomentState,
                     v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = state.m0 + v[aug.mean_slice]
-    secmom = v[aug.secmom_slice].reshape((aug.d, aug.d), order="F")
+    mean = state.m0 + v[:, aug.mean_slice]
+    # vec(P) stacks the columns of P, so each row reshapes to P^T
+    secmom = v[:, :aug.d ** 2].reshape(-1, aug.d, aug.d).transpose(0, 2, 1)
     return mean, secmom
 
 
@@ -333,7 +336,7 @@ def _propagate(aug: AugmentedSystem, state: MomentState, step: float,
                times: list[float],
                options: ExpmOptions | None) -> list[MomentResult]:
     """Moments labelled times[k - 1] after k steps of one exponential e^{M step}."""
-    rows = None
+    rows = None  # row k - 1: e^{M k step} u, or e^{M k step} if additive
     if _wants_action(aug, options):
         try:
             rows = expm_action(aug.M, aug.u, step, len(times))
@@ -341,22 +344,17 @@ def _propagate(aug: AugmentedSystem, state: MomentState, step: float,
             # a route chosen by size alone is no promise of convergence
             if options is not None:
                 raise
-    if rows is None:
-        E = expm(aug.M, step)
     extract = _additive_extract if aug.u is None else _vector_extract
-    results = []
-    x = aug.u  # e^{M k step} u, or e^{M k step} itself for the additive formulation
     # products of a finite exponential may still overflow; make_result
     # reports that as ExpmOverflowError, so numpy's warning is silenced
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, t in enumerate(times):
-            if rows is not None:
-                x = rows[k]
-            else:
-                x = E if x is None else E @ x
-            mean, secmom = extract(aug, state, x)
-            results.append(make_result(t, mean, secmom))
-    return results
+        if rows is None:
+            E = expm(aug.M, step)
+            rows = [E if aug.u is None else E @ aug.u]
+            for _ in times[1:]:
+                rows.append(E @ rows[-1])
+        means, secmoms = extract(aug, state, np.asarray(rows))
+        return make_result(times, means, secmoms)
 
 
 def moments_at(sde: LinearSde, state: MomentState, t: float,
@@ -407,8 +405,8 @@ def propagate_grid(sde: LinearSde, state: MomentState, step: float,
     """
     if not (step > 0.0 and np.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step!r}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
+    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
     aug = assemble(sde, state, formulation)
     times = [sde.t0 + k * step for k in range(1, n_steps + 1)]
     return _propagate(aug, state, step, times, options)
@@ -497,4 +495,4 @@ def moments_baseline(sde: LinearSde, state: MomentState, t: float) -> MomentResu
                       + tau * g2 - h2
                       + tau * tau * g3 - 2.0 * tau * h3 + 2.0 * k3
                       + (h4 + tau * g5 - h5)[:, -1])
-    return make_result(t, mean, secmom_vec.reshape((d, d), order="F"))
+    return make_result([t], mean[None], secmom_vec.reshape((1, d, d), order="F"))[0]

@@ -59,8 +59,8 @@ def rk4_moments(sde: LinearSde, state: MomentState, t: float,
     the offending step if the iteration produces non-finite values.
     """
     tau = _elapsed(sde, t)
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
+    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
 
     h = tau / n_steps
     m = np.array(state.m0, dtype=float)
@@ -80,7 +80,7 @@ def rk4_moments(sde: LinearSde, state: MomentState, t: float,
                 raise RuntimeError(
                     f"moment integration produced non-finite values at step "
                     f"{k + 1} of {n_steps} (t = {tk + h:g})")
-    return make_result(t, m, P)
+    return make_result([t], m[None], P[None])[0]
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,10 @@ class McConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n_paths < 2:
-            raise ValueError(f"n_paths must be >= 2, got {self.n_paths!r}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps!r}")
+        if not isinstance(self.n_paths, (int, np.integer)) or self.n_paths < 2:
+            raise ValueError(f"n_paths must be an integer >= 2, got {self.n_paths!r}")
+        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
+            raise ValueError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from sdemoments import LinearSde, MomentState
+from sdemoments import (ExpmOverflowError, LinearSde, MomentResult, MomentState,
+                        assemble, expm, expm_action)
 
 CLASSES = ("non_autonomous", "autonomous_multiplicative", "autonomous_additive")
 
@@ -47,3 +48,44 @@ def rel_diff(a, b, floor=1e-300):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return float(np.abs(a - b).max()) / max(float(np.abs(b).max()), floor)
+
+
+def reference_make_result(t, mean, secmom_raw):
+    """One time's raw moments packaged on their own, as make_result once did."""
+    if not (np.isfinite(mean).all() and np.isfinite(secmom_raw).all()):
+        raise ExpmOverflowError(
+            f"moments at t = {float(t):g} overflow double precision; "
+            f"rescale the problem or reduce t")
+    defect = float(np.abs(secmom_raw - secmom_raw.T).max())
+    secmom = (secmom_raw + secmom_raw.T) / 2.0
+    variance = secmom - np.outer(mean, mean)
+    min_eig = float(np.linalg.eigvalsh(variance).min())
+    return MomentResult(t=float(t), mean=np.array(mean, dtype=float),
+                        secmom=secmom, variance=variance,
+                        symmetry_defect=defect, min_variance_eig=min_eig)
+
+
+def reference_grid(sde, state, step, n_steps, method, formulation=None):
+    """propagate_grid one point at a time: each grid point is extracted
+    from its own e^{M k step} u (or e^{M k step}) and packaged by
+    :func:`reference_make_result`."""
+    aug = assemble(sde, state, formulation)
+    d = aug.d
+    if method == "action":
+        points = list(expm_action(aug.M, aug.u, step, n_steps))
+    else:
+        E = expm(aug.M, step)
+        points = [E if aug.u is None else E @ aug.u]
+        while len(points) < n_steps:
+            points.append(E @ points[-1])
+    results = []
+    for k, x in enumerate(points, start=1):
+        if aug.u is None:
+            F1, H1 = x[:d, :d], x[:d, d + 1:2 * d + 1]
+            mean = state.m0 + x[:d, -1]
+            secmom = F1 @ state.P0 @ F1.T + H1 @ F1.T + F1 @ H1.T
+        else:
+            mean = state.m0 + x[aug.mean_slice]
+            secmom = x[:d * d].reshape((d, d), order="F")
+        results.append(reference_make_result(sde.t0 + k * step, mean, secmom))
+    return results

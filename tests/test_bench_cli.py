@@ -66,6 +66,8 @@ def test_run_bench_csv_round_trip():
 def test_run_bench_validation():
     with pytest.raises(ValueError):
         run_bench(dims=(1,), reps=4)
+    with pytest.raises(ValueError, match="integer"):
+        run_bench(dims=(1,), reps=5.5)
     with pytest.raises(ValueError):
         run_bench(dims=(0,), reps=5)
     with pytest.raises(ValueError):
@@ -87,7 +89,8 @@ def test_cli_moments_secmom_and_csv(ou_file, tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "secmom" in out
-    lines = open(csv_path).read().strip().splitlines()
+    with open(csv_path) as handle:
+        lines = handle.read().strip().splitlines()
     assert lines[0] == "t,mean_0,var_0_0,secmom_0_0"
     from sdemoments import load_model, moments_at
     sde, state = load_model(ou_file)
@@ -182,7 +185,8 @@ def test_cli_bench(tmp_path, capsys):
                  "--csv", csv_path]) == 0
     out = capsys.readouterr().out
     assert "equation_class" in out
-    header = open(csv_path).readline().strip()
+    with open(csv_path) as handle:
+        header = handle.readline().strip()
     assert header.startswith("equation_class,d,time_new")
 
 

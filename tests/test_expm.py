@@ -217,6 +217,8 @@ def test_action_input_validation():
         expm_action(a, np.zeros(3), -1.0)
     with pytest.raises(ValueError):
         expm_action(a, np.ones(3), 1.0, 0)
+    with pytest.raises(ValueError, match="integer"):
+        expm_action(a, np.ones(3), 1.0, 2.5)
 
 
 def test_options_name_a_known_route():

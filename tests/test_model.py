@@ -42,6 +42,11 @@ def test_shape_errors_carry_field_path():
         LinearSde(d=1, m=0, A=[[np.nan]], a0=[0.0])
     with pytest.raises(ModelError):
         LinearSde(d=0, m=0, A=np.zeros((0, 0)), a0=[])
+    # non-integral counts are rejected, not truncated
+    with pytest.raises(ModelError, match="^d: "):
+        LinearSde(d=2.5, m=0, A=np.eye(2), a0=[0.0, 0.0])
+    with pytest.raises(ModelError, match="^m: "):
+        LinearSde(d=1, m=1.7, A=[[0.0]], a0=[0.0], b0=[[1.0]])
 
 
 def test_forcing_evaluation():

@@ -13,9 +13,11 @@ from sdemoments import (ExpmConvergenceError, ExpmError, ExpmOptions,
                         rk4_moments, vec)
 from sdemoments.moments import (_DENSE_LIMIT, _wants_action, build_beta, build_C,
                                 build_calA, build_script_B)
-from support import CLASSES, random_stable_model, random_state, rel_diff
+from support import (CLASSES, random_stable_model, random_state, reference_grid,
+                     rel_diff)
 
 moments_module = importlib.import_module("sdemoments.moments")
+oracle_module = importlib.import_module("sdemoments.oracle")
 
 
 def test_calA_scalar_reduction():
@@ -150,7 +152,7 @@ def test_assemble_block_structure():
     np.testing.assert_array_equal(aug.M[dd:dd + w, dd:dd + w], C)
     np.testing.assert_array_equal(aug.M[dd + w:dd + 2 * w, dd + w:dd + 2 * w], C)
     # u seeds vec(P0), the mean flow's last unit vector r, and the constant 1
-    np.testing.assert_array_equal(aug.u[aug.secmom_slice], vec(state.P0))
+    np.testing.assert_array_equal(aug.u[:dd], vec(state.P0))
     assert aug.u[-1] == 1.0
     np.testing.assert_array_equal(aug.u[dd + w:dd + 2 * w], np.eye(w)[-1])
     assert aug.mean_slice == slice(dd + w, dd + w + d)
@@ -307,6 +309,14 @@ def test_overflowing_moments_raise_typed_error():
         big_state = MomentState(m0=np.ones(d), P0=np.eye(d) + np.ones((d, d)))
         with pytest.raises(ExpmOverflowError):
             propagate_grid(big, big_state, 10.0, 12, options=action)
+        # e^{100 t} overflows the second moment first at t = 4 of 6; the
+        # error names that time, not the last one
+        state = MomentState(m0=[1.0], P0=[[1.0]])
+        for sde in (LinearSde(d=1, m=1, A=[[100.0]], a0=[0.0], B=[[[0.1]]],
+                              b0=[[0.0]]),
+                    LinearSde(d=1, m=1, A=[[100.0]], a0=[0.0], b0=[[1.0]])):
+            with pytest.raises(ExpmOverflowError, match=r"at t = 4 "):
+                propagate_grid(sde, state, 1.0, 6)
 
 
 def test_formulation_consistency():
@@ -373,6 +383,53 @@ def test_propagate_grid_single_step():
                 assert step.min_variance_eig == direct.min_variance_eig
 
 
+def test_stacked_results_match_per_point_reference(monkeypatch):
+    # one make_result call per evaluation, and its stacked packaging equals
+    # the per-point reference bit for bit on every formulation and route
+    calls = []
+    make_result = moments_module.make_result
+
+    def counting(times, means, secmoms_raw):
+        calls.append(len(times))
+        return make_result(times, means, secmoms_raw)
+
+    monkeypatch.setattr(moments_module, "make_result", counting)
+    monkeypatch.setattr(oracle_module, "make_result", counting)
+    rng = np.random.default_rng(62)
+    for kind in CLASSES:
+        sde, state = random_stable_model(rng, 3, kind)
+        for formulation in Formulation:
+            try:
+                assemble(sde, state, formulation)
+            except ValueError:
+                continue
+            methods = (("dense",) if formulation is Formulation.ADDITIVE
+                       else ("dense", "action"))
+            for method in methods:
+                options = ExpmOptions(method=method)
+                for step, n_steps in ((0.15, 20), (1.3, 1)):
+                    got = propagate_grid(sde, state, step, n_steps, options,
+                                         formulation)
+                    want = reference_grid(sde, state, step, n_steps, method,
+                                          formulation)
+                    assert calls == [n_steps]
+                    moments_at(sde, state, sde.t0 + step, options, formulation)
+                    assert calls == [n_steps, 1]
+                    calls.clear()
+                    for res, ref in zip(got, want, strict=True):
+                        assert res.t == ref.t
+                        for field in ("mean", "secmom", "variance"):
+                            np.testing.assert_array_equal(getattr(res, field),
+                                                          getattr(ref, field))
+                        assert res.symmetry_defect == ref.symmetry_defect
+                        assert res.min_variance_eig == ref.min_variance_eig
+                        assert not res.mean.flags.writeable
+        moments_baseline(sde, state, sde.t0 + 1.0)
+        rk4_moments(sde, state, sde.t0 + 1.0, 10)
+        assert calls == [1, 1]
+        calls.clear()
+
+
 def test_propagate_grid_zero_model():
     sde = LinearSde(d=2, m=1, A=np.zeros((2, 2)), a0=np.zeros(2),
                     b0=np.zeros((1, 2)))
@@ -389,6 +446,8 @@ def test_propagate_grid_validation():
         propagate_grid(sde, state, 0.0, 5)
     with pytest.raises(ValueError):
         propagate_grid(sde, state, 0.1, 0)
+    with pytest.raises(ValueError, match="integer"):
+        propagate_grid(sde, state, 0.1, 2.5)
 
 
 def test_baseline_agrees_with_engine():

@@ -128,6 +128,8 @@ def test_rk4_validation():
         rk4_moments(sde, state, -1.0, 10)
     with pytest.raises(ValueError):
         rk4_moments(sde, state, 1.0, 0)
+    with pytest.raises(ValueError, match="integer"):
+        rk4_moments(sde, state, 1.0, 2.5)
 
 
 def test_mc_reproducible_and_seed_sensitive():
@@ -269,6 +271,10 @@ def test_mc_config_validation():
         McConfig(n_paths=1, n_steps=10, seed=0)
     with pytest.raises(ValueError):
         McConfig(n_paths=10, n_steps=0, seed=0)
+    with pytest.raises(ValueError, match="integer"):
+        McConfig(n_paths=10.5, n_steps=10, seed=0)
+    with pytest.raises(ValueError, match="integer"):
+        McConfig(n_paths=10, n_steps=2.5, seed=0)
 
 
 def test_mc_rejects_past_times():
