@@ -25,9 +25,8 @@ def blocks(formulation: Formulation, d: int) -> list[tuple[str, int]]:
 
 for label, sde, state in hilbert_systems(3):
     aug = assemble(sde, state)
-    print(f"{label}  (classified: {classify(sde).value})")
-    print(f"  formulation {aug.formulation.name}, "
-          f"augmented size n = {aug.n} for d = {sde.d}")
+    print(f"{label}  (narrowest formulation: {classify(sde).name})")
+    print(f"  augmented size n = {aug.n} for d = {sde.d}")
     layout = blocks(aug.formulation, sde.d)
     offsets = np.cumsum([0] + [size for _, size in layout])
     assert offsets[-1] == aug.n

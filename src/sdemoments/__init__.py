@@ -11,19 +11,19 @@ from .bench import BenchReport, BenchRow, hilbert_systems, run_bench
 from .expm import (ExpmConvergenceError, ExpmError, ExpmOptions,
                    ExpmOverflowError, expm, expm_action)
 from .kron import hilbert, kron, kron_sum, kron_sum_vec, unvec, vec
-from .model import (LinearSde, ModelError, MomentState, SdeClass, classify,
+from .model import (Formulation, LinearSde, ModelError, MomentState, classify,
                     load_model, parse_model, serialize_model)
-from .moments import (AugmentedSystem, Formulation, MomentResult, assemble,
-                      moments_at, moments_baseline, propagate_grid)
+from .moments import (AugmentedSystem, MomentResult, assemble, moments_at,
+                      moments_baseline, propagate_grid)
 from .oracle import (McConfig, McEstimate, euler_maruyama_mc, moment_ode_rhs,
                      rk4_moments)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "LinearSde", "MomentState", "SdeClass", "ModelError",
-    "classify", "parse_model", "load_model", "serialize_model",
-    "Formulation", "AugmentedSystem", "MomentResult",
+    "LinearSde", "MomentState", "ModelError",
+    "Formulation", "classify", "parse_model", "load_model", "serialize_model",
+    "AugmentedSystem", "MomentResult",
     "assemble", "moments_at", "propagate_grid", "moments_baseline",
     "ExpmOptions", "ExpmError", "ExpmOverflowError", "ExpmConvergenceError",
     "expm", "expm_action",

@@ -216,10 +216,10 @@ def expm_action(a, v, t: float = 1.0, n_steps: int | None = None) -> np.ndarray:
 
     With ``n_steps`` given, one basis serves a uniform grid: row k - 1 of
     the ``(n_steps, n)`` result is e^(a*k*t) @ v. Checkpoints form every
-    y_k = e^(H_m k t) e_1 from the exponential of H_m t by doubling, raise
-    :class:`ExpmOverflowError` if one overflows, and require the estimate
-    k t h_{m+1,m} |y_k[m]| / ||y_k|| to meet the tolerance at every k: a
-    long grid converges at horizon n_steps * t or raises.
+    y_k = e^(H_m k t) e_1 from the exponential of H_m t by doubling and
+    require the estimate k t h_{m+1,m} |y_k[m]| / ||y_k|| to meet the
+    tolerance at every k: a long grid converges at horizon n_steps * t or
+    raises, unless some y_k overflows, which returns the rows as they are.
     """
     a = _as_square(a)
     v = np.asarray(v, dtype=float)
@@ -265,15 +265,14 @@ def expm_action(a, v, t: float = 1.0, n_steps: int | None = None) -> np.ndarray:
                 # doubling: rows L + 1..2L are rows 1..L times e^(H_m L t)
                 while len(y) < (n_steps or 1):
                     y, power = np.vstack([y, y @ power.T])[:n_steps], power @ power
-                if not np.all(np.isfinite(y)):  # as expm(H_m, n_steps t) would
-                    raise ExpmOverflowError("grid steps overflow double precision")
+                overflow = not np.all(np.isfinite(y))  # no larger basis undoes it
                 # each row's norm by one dot, as np.linalg.norm forms a vector's
                 norms = np.sqrt(np.matmul(y[:, None], y[:, :, None]).ravel())
                 # the estimate for horizon k t; np.max keeps a nan from overflow
                 estimate = np.max(np.arange(1, len(y) + 1) * t * h_next
                                   * np.abs(y[:, -1]) / norms)
                 # an invariant subspace or a full basis makes the projection exact
-                if breakdown or m == n or estimate <= _KRYLOV_TOL:
+                if breakdown or m == n or estimate <= _KRYLOV_TOL or overflow:
                     rows = [beta * (yk @ q) for yk in y]  # as a one-vector call forms it
                     return rows[0] if n_steps is None else np.array(rows)
             checkpoint = math.ceil(1.25 * m)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "SdeClass",
+    "Formulation",
     "LinearSde",
     "MomentState",
     "ModelError",
@@ -45,12 +45,17 @@ class ModelError(ValueError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-class SdeClass(enum.Enum):
-    """Structural class of a linear SDE, deciding which formulation applies."""
+class Formulation(enum.Enum):
+    """Augmented-system layout of size n, declared widest first.
 
-    NON_AUTONOMOUS = "non_autonomous"
-    AUTONOMOUS_MULTIPLICATIVE = "autonomous_multiplicative"
-    AUTONOMOUS_ADDITIVE = "autonomous_additive"
+    GENERAL covers any model (n = d^2 + 2d + 7), AUTONOMOUS those with
+    a1 = b_{i,1} = 0 (n = d^2 + d + 2) and ADDITIVE those that also have
+    B_i = 0 (n = 2d + 2).
+    """
+
+    GENERAL = "general"
+    AUTONOMOUS = "autonomous"
+    ADDITIVE = "additive"
 
 
 def _check(condition: bool, message: str, path: str | None = None) -> None:
@@ -180,19 +185,18 @@ class MomentState:
         return self.P0 - np.outer(self.m0, self.m0)
 
 
-def classify(sde: LinearSde) -> SdeClass:
-    """Classify a model by which coefficients vanish.
+def classify(sde: LinearSde) -> Formulation:
+    """The narrowest formulation that covers a model.
 
     A model is autonomous when a1 and every b_{i,1} are exactly zero; an
     autonomous model is additive when every B_i is too. Everything else
-    is non-autonomous. A noise-free model (m = 0) is autonomous additive
-    unless a1 is nonzero.
+    needs GENERAL; a noise-free model (m = 0) is ADDITIVE unless a1 != 0.
     """
     if np.any(sde.a1) or np.any(sde.b1):
-        return SdeClass.NON_AUTONOMOUS
+        return Formulation.GENERAL
     if not np.any(sde.B):
-        return SdeClass.AUTONOMOUS_ADDITIVE
-    return SdeClass.AUTONOMOUS_MULTIPLICATIVE
+        return Formulation.ADDITIVE
+    return Formulation.AUTONOMOUS
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,9 @@
 
 Everything here reduces to one augmented block matrix M and one vector u
 such that e^{M (t - t0)} u carries vec(P_t) and the mean increment
-m_t - m0 simultaneously. Three formulations exist:
-
-* ``GENERAL`` works for any model (affine time dependence in drift and
-  diffusion), with an augmented dimension of d^2 + 2d + 7.
-* ``AUTONOMOUS`` requires a1 = b_{i,1} = 0 and shrinks to d^2 + d + 2.
-* ``ADDITIVE`` additionally requires B_i = 0 and shrinks to 2d + 2; it
-  reads matrix blocks of e^{M h} instead of propagating a vector.
+m_t - m0 simultaneously, laid out as a :class:`~sdemoments.model.Formulation`
+names. The additive formulation reads matrix blocks of e^{M h} instead of
+propagating a vector.
 
 :func:`moments_baseline` recomputes the same moments the classical way,
 from seven separate exponentials of Van Loan block matrices, and exists
@@ -17,17 +13,15 @@ solely as a benchmark comparator.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .expm import (ExpmConvergenceError, ExpmError, ExpmOptions,
                    ExpmOverflowError, expm, expm_action)
-from .model import LinearSde, MomentState, SdeClass, classify
+from .model import Formulation, LinearSde, MomentState, classify
 
 __all__ = [
-    "Formulation",
     "AugmentedSystem",
     "MomentResult",
     "assemble",
@@ -43,13 +37,6 @@ _DENSE_LIMIT = 120
 
 #: largest predicted relative error the additive formulation may return
 _ADDITIVE_MAX_ERROR = 1e-6
-
-class Formulation(enum.Enum):
-    """Which augmented-system layout to assemble."""
-
-    GENERAL = "general"
-    AUTONOMOUS = "autonomous"
-    ADDITIVE = "additive"
 
 
 @dataclass(frozen=True)
@@ -141,24 +128,18 @@ def build_beta(sde: LinearSde) -> tuple[np.ndarray, ...]:
     return beta1, beta2, beta3, beta45[0], beta45[1]
 
 
-def build_C(sde: LinearSde, state: MomentState, cls: SdeClass) -> np.ndarray:
-    """Mean-propagation companion matrix C.
+def build_C(sde: LinearSde, state: MomentState) -> np.ndarray:
+    """(d+2)x(d+2) mean-propagation companion matrix C.
 
-    For the non-autonomous layout C is (d+2)x(d+2) and couples to a
-    linear-in-time forcing; autonomous models get the (d+1)x(d+1) form.
-    In both cases m_t - m0 is the first d entries of the last column of
-    e^{C (t-t0)}.
+    C couples the mean to the linear-in-time forcing a1; m_t - m0 is the
+    first d entries of the last column of e^{C (t-t0)}.
     """
     d = sde.d
-    drive = sde.A @ state.m0 + sde.drift_forcing(sde.t0)
-    if cls is SdeClass.NON_AUTONOMOUS:
-        C = np.zeros((d + 2, d + 2))
-        C[:d, d] = sde.a1
-        C[d, d + 1] = 1.0
-    else:
-        C = np.zeros((d + 1, d + 1))
+    C = np.zeros((d + 2, d + 2))
     C[:d, :d] = sde.A
-    C[:d, -1] = drive
+    C[:d, d] = sde.a1
+    C[:d, -1] = sde.A @ state.m0 + sde.drift_forcing(sde.t0)
+    C[d, d + 1] = 1.0
     return C
 
 
@@ -190,37 +171,28 @@ def build_calA(sde: LinearSde) -> np.ndarray:
     return np.einsum("kij,kab->iajb", left, right).reshape(d * d, d * d)
 
 
-def _default_formulation(cls: SdeClass) -> Formulation:
-    if cls is SdeClass.NON_AUTONOMOUS:
-        return Formulation.GENERAL
-    if cls is SdeClass.AUTONOMOUS_MULTIPLICATIVE:
-        return Formulation.AUTONOMOUS
-    return Formulation.ADDITIVE
-
-
 def assemble(sde: LinearSde, state: MomentState,
              formulation: Formulation | None = None) -> AugmentedSystem:
     """Build the augmented system for a model, validating the formulation.
 
-    By default the formulation follows :func:`classify`. An explicit
-    ``formulation`` may widen but not narrow: GENERAL accepts any model,
-    AUTONOMOUS requires a1 = b1 = 0, ADDITIVE additionally requires B = 0.
+    By default the formulation is the narrowest one, :func:`classify`'s.
+    An explicit ``formulation`` may be wider but not narrower (see
+    :class:`Formulation` for what each covers).
 
     Raises
     ------
     ValueError
-        If the requested formulation does not cover the model's class,
-        or the state dimension disagrees with the model.
+        If the requested formulation is narrower than the model's, or the
+        state dimension disagrees with the model.
     """
-    if state.d != sde.d:
-        raise ValueError(f"state dimension {state.d} != model dimension {sde.d}")
-    cls = classify(sde)
+    _check_dimension(sde, state)
+    narrowest = classify(sde)
     if formulation is None:
-        formulation = _default_formulation(cls)
-    if formulation is Formulation.AUTONOMOUS and cls is SdeClass.NON_AUTONOMOUS:
-        raise ValueError("autonomous formulation requires a1 = 0 and b1 = 0")
-    if formulation is Formulation.ADDITIVE and cls is not SdeClass.AUTONOMOUS_ADDITIVE:
-        raise ValueError("additive formulation requires a1 = 0, b1 = 0 and B = 0")
+        formulation = narrowest
+    order = list(Formulation)  # widest first
+    if order.index(formulation) > order.index(narrowest):
+        raise ValueError(f"formulation {formulation.name} does not cover this "
+                         f"model, whose narrowest is {narrowest.name}")
 
     d = sde.d
     dd = d * d
@@ -242,15 +214,17 @@ def assemble(sde: LinearSde, state: MomentState,
     # 1 and the last unit vector of C, whose flow carries m_t - m0
     calA = build_calA(sde)
     B1, B2, B3, beta4, beta5 = build_script_B(sde, state)
+    C = build_C(sde, state)
 
     if formulation is Formulation.AUTONOMOUS:
-        C = build_C(sde, state, SdeClass.AUTONOMOUS_MULTIPLICATIVE)
+        # a1 = 0 leaves C's time entry unused: the mean flow is [[A, drive], [0, 0]]
         n = dd + d + 2
         M = np.zeros((n, n))
         M[:dd, :dd] = calA
         M[:dd, dd] = B1
         M[:dd, dd + 1:dd + 1 + d] = beta4
-        M[dd + 1:, dd + 1:] = C
+        M[dd + 1:n - 1, dd + 1:n - 1] = C[:d, :d]
+        M[dd + 1:n - 1, n - 1] = C[:d, -1]
         u = np.zeros(n)
         u[:dd] = state.P0.ravel("F")
         u[dd] = 1.0
@@ -260,7 +234,6 @@ def assemble(sde: LinearSde, state: MomentState,
 
     # the mean flow appears twice, as a ramp s e^{C s} r and as e^{C s} r,
     # followed by s^2, s and 1
-    C = build_C(sde, state, SdeClass.NON_AUTONOMOUS)
     w = d + 2
     n = dd + 2 * w + 3
     M = np.zeros((n, n))
@@ -281,6 +254,11 @@ def assemble(sde: LinearSde, state: MomentState,
     u[n - 1] = 1.0
     return AugmentedSystem(formulation=formulation, n=n, d=d, M=M, u=u,
                            mean_slice=slice(dd + w, dd + w + d))
+
+
+def _check_dimension(sde: LinearSde, state: MomentState) -> None:
+    if state.d != sde.d:
+        raise ValueError(f"state dimension {state.d} != model dimension {sde.d}")
 
 
 def _elapsed(sde: LinearSde, t: float) -> float:
@@ -436,10 +414,11 @@ def moments_baseline(sde: LinearSde, state: MomentState, t: float) -> MomentResu
     :func:`moments_at` to roundoff; exists to be timed against it.
     """
     tau = _elapsed(sde, t)
+    _check_dimension(sde, state)
     d = sde.d
     dd = d * d
 
-    C = build_C(sde, state, SdeClass.NON_AUTONOMOUS)
+    C = build_C(sde, state)
     B1, B2, B3, beta4, beta5 = build_script_B(sde, state)
     calA = build_calA(sde)
     w = d + 2

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import LinearSde, MomentState
-from .moments import MomentResult, _elapsed, make_result
+from .moments import MomentResult, _check_dimension, _elapsed, make_result
 
 __all__ = [
     "McConfig",
@@ -59,6 +59,7 @@ def rk4_moments(sde: LinearSde, state: MomentState, t: float,
     the offending step if the iteration produces non-finite values.
     """
     tau = _elapsed(sde, t)
+    _check_dimension(sde, state)
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
 
@@ -186,6 +187,7 @@ def euler_maruyama_mc(sde: LinearSde, state: MomentState, t: float,
     exactly zero.
     """
     tau = _elapsed(sde, t)
+    _check_dimension(sde, state)
 
     d, m, n_steps = sde.d, sde.m, config.n_steps
     h = tau / n_steps

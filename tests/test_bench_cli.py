@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sdemoments.moments
-from sdemoments import SdeClass, classify, hilbert_systems, run_bench
+from sdemoments import Formulation, classify, hilbert_systems, run_bench
 from sdemoments.cli import main
 
 OU_DOC = {"d": 1, "m": 1, "t0": 0.0, "A": [[-1.0]], "a0": [0.0],
@@ -25,10 +25,9 @@ def test_hilbert_systems_labels_and_classes():
     assert [label for label, _, _ in systems] == [
         "non_autonomous_multiplicative", "autonomous_multiplicative",
         "autonomous_additive"]
-    expected = [SdeClass.NON_AUTONOMOUS, SdeClass.AUTONOMOUS_MULTIPLICATIVE,
-                SdeClass.AUTONOMOUS_ADDITIVE]
-    for (label, sde, state), cls in zip(systems, expected):
-        assert classify(sde) is cls
+    expected = [Formulation.GENERAL, Formulation.AUTONOMOUS, Formulation.ADDITIVE]
+    for (label, sde, state), narrowest in zip(systems, expected):
+        assert classify(sde) is narrowest
         assert sde.d == 3 and state.d == 3
         np.testing.assert_array_equal(state.m0, np.ones(3))
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sdemoments import (LinearSde, ModelError, MomentState, SdeClass,
+from sdemoments import (Formulation, LinearSde, ModelError, MomentState,
                         classify, parse_model, serialize_model)
 from support import random_stable_model
 
@@ -74,20 +74,21 @@ def test_covariance():
 
 def test_classify_basic():
     rng = np.random.default_rng(30)
-    for kind in ("non_autonomous", "autonomous_multiplicative",
-                 "autonomous_additive"):
+    for kind, narrowest in (("non_autonomous", Formulation.GENERAL),
+                            ("autonomous_multiplicative", Formulation.AUTONOMOUS),
+                            ("autonomous_additive", Formulation.ADDITIVE)):
         sde, _ = random_stable_model(rng, 3, kind)
-        assert classify(sde).value == kind
+        assert classify(sde) is narrowest
     # the zero test is exact: a tiny coefficient still counts
     tiny = LinearSde(d=1, m=1, A=[[-1.0]], a0=[0.0], B=[[[1e-300]]], b0=[[1.0]])
-    assert classify(tiny) is SdeClass.AUTONOMOUS_MULTIPLICATIVE
+    assert classify(tiny) is Formulation.AUTONOMOUS
 
 
 def test_classify_noise_free():
     ode = LinearSde(d=2, m=0, A=np.eye(2), a0=[1.0, 0.0])
-    assert classify(ode) is SdeClass.AUTONOMOUS_ADDITIVE
+    assert classify(ode) is Formulation.ADDITIVE
     ramp = LinearSde(d=2, m=0, A=np.eye(2), a0=[1.0, 0.0], a1=[1.0, 0.0])
-    assert classify(ramp) is SdeClass.NON_AUTONOMOUS
+    assert classify(ramp) is Formulation.GENERAL
 
 
 def test_classify_scaling_invariance():
@@ -105,7 +106,7 @@ def test_classify_scaling_invariance():
 def test_parse_minimal_ou():
     sde, state = parse_model(OU_TEXT)
     assert (sde.d, sde.m) == (1, 1)
-    assert classify(sde) is SdeClass.AUTONOMOUS_ADDITIVE
+    assert classify(sde) is Formulation.ADDITIVE
     np.testing.assert_array_equal(sde.A, [[-1.0]])
     np.testing.assert_array_equal(state.P0, [[0.0]])
 
@@ -118,7 +119,7 @@ def test_parse_hilbert_benchmark_file():
            "a0": [0.0] * d, "B": [H], "b0": [[0.0] * d],
            "m0": [1.0] * d, "P0": [[1.0] * d for _ in range(d)]}
     sde, state = parse_model(json.dumps(doc))
-    assert classify(sde) is SdeClass.AUTONOMOUS_MULTIPLICATIVE
+    assert classify(sde) is Formulation.AUTONOMOUS
     np.testing.assert_array_equal(state.m0, np.ones(d))
 
 

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from sdemoments import (ExpmConvergenceError, ExpmError, ExpmOptions,
-                        ExpmOverflowError, Formulation, LinearSde,
-                        MomentState, SdeClass, assemble, expm, hilbert_systems,
-                        kron, kron_sum, kron_sum_vec, moment_ode_rhs,
-                        moments_at, moments_baseline, propagate_grid,
-                        rk4_moments, vec)
+                        ExpmOverflowError, Formulation, LinearSde, McConfig,
+                        MomentState, assemble, classify, euler_maruyama_mc,
+                        expm, hilbert_systems, kron, kron_sum, kron_sum_vec,
+                        moment_ode_rhs, moments_at, moments_baseline,
+                        propagate_grid, rk4_moments, vec)
 from sdemoments.moments import (_DENSE_LIMIT, _wants_action, build_beta, build_C,
                                 build_calA, build_script_B)
 from support import (CLASSES, random_stable_model, random_state, reference_grid,
@@ -45,14 +45,17 @@ def test_calA_drives_homogeneous_second_moment():
 def test_build_C_autonomous_scalar():
     sde = LinearSde(d=1, m=0, A=[[-2.0]], a0=[3.0], t0=0.0)
     state = MomentState(m0=[0.5], P0=[[0.25]])
-    C = build_C(sde, state, SdeClass.AUTONOMOUS_ADDITIVE)
-    np.testing.assert_allclose(C, [[-2.0, -2.0 * 0.5 + 3.0], [0.0, 0.0]])
+    C = build_C(sde, state)
+    # a1 = 0 leaves the time entry C[0, 1] zero
+    np.testing.assert_allclose(C, [[-2.0, 0.0, -2.0 * 0.5 + 3.0],
+                                   [0.0, 0.0, 1.0],
+                                   [0.0, 0.0, 0.0]])
 
 
 def test_build_C_non_autonomous_shape():
     sde = LinearSde(d=2, m=0, A=-np.eye(2), a0=[0.0, 0.0], a1=[1.0, 2.0])
     state = MomentState(m0=[0.0, 0.0], P0=np.zeros((2, 2)))
-    C = build_C(sde, state, SdeClass.NON_AUTONOMOUS)
+    C = build_C(sde, state)
     assert C.shape == (4, 4)
     np.testing.assert_array_equal(C[:2, 2], [1.0, 2.0])
     assert C[2, 3] == 1.0
@@ -62,9 +65,7 @@ def test_build_C_solves_mean_ode():
     rng = np.random.default_rng(41)
     for kind in CLASSES:
         sde, state = random_stable_model(rng, 3, kind)
-        cls = (SdeClass.NON_AUTONOMOUS if kind == "non_autonomous"
-               else SdeClass.AUTONOMOUS_MULTIPLICATIVE)
-        C = build_C(sde, state, cls)
+        C = build_C(sde, state)
         t = sde.t0 + 0.8
         # the flow of the last unit vector carries m_t - m0 in its first d
         mean = state.m0 + expm(C, 0.8)[:3, -1]
@@ -103,7 +104,7 @@ def test_script_B_matches_direct_forcing():
         d = int(rng.integers(1, 4))
         sde, state = random_stable_model(rng, d, "non_autonomous")
         B1, B2, B3, beta4, beta5 = build_script_B(sde, state)
-        C = build_C(sde, state, SdeClass.NON_AUTONOMOUS)
+        C = build_C(sde, state)
         for s in (0.0, 0.3, 1.2):
             mean_s = moments_at(sde, state, sde.t0 + s).mean
             _, forcing = moment_ode_rhs(sde, mean_s, np.zeros((d, d)),
@@ -147,7 +148,7 @@ def test_assemble_block_structure():
     # strictly block upper triangular below the diagonal blocks
     for off in offs:
         np.testing.assert_array_equal(aug.M[off:, :off], 0.0)
-    C = build_C(sde, state, SdeClass.NON_AUTONOMOUS)
+    C = build_C(sde, state)
     np.testing.assert_array_equal(aug.M[:dd, :dd], build_calA(sde))
     np.testing.assert_array_equal(aug.M[dd:dd + w, dd:dd + w], C)
     np.testing.assert_array_equal(aug.M[dd + w:dd + 2 * w, dd + w:dd + 2 * w], C)
@@ -217,18 +218,40 @@ def test_assemble_matches_kronecker_construction():
 
 
 def test_assemble_formulation_validation():
+    # a formulation covers a model exactly when it is at least as wide as
+    # the narrowest one, classify's; Formulation is declared widest first
     rng = np.random.default_rng(46)
-    non_aut, state = random_stable_model(rng, 2, "non_autonomous")
-    with pytest.raises(ValueError):
-        assemble(non_aut, state, Formulation.AUTONOMOUS)
-    with pytest.raises(ValueError):
-        assemble(non_aut, state, Formulation.ADDITIVE)
-    mult, state2 = random_stable_model(rng, 2, "autonomous_multiplicative")
-    with pytest.raises(ValueError):
-        assemble(mult, state2, Formulation.ADDITIVE)
-    assert assemble(mult, state2, Formulation.GENERAL).n == 15
-    with pytest.raises(ValueError):
-        assemble(mult, random_state(rng, 3))
+    order = list(Formulation)
+    sizes = {Formulation.GENERAL: 15, Formulation.AUTONOMOUS: 8,
+             Formulation.ADDITIVE: 6}
+    for kind in CLASSES:
+        sde, state = random_stable_model(rng, 2, kind)
+        narrowest = classify(sde)
+        assert assemble(sde, state).formulation is narrowest
+        for formulation in Formulation:
+            if order.index(formulation) <= order.index(narrowest):
+                aug = assemble(sde, state, formulation)
+                assert (aug.formulation, aug.n) == (formulation, sizes[formulation])
+            else:
+                with pytest.raises(ValueError, match=f"{formulation.name} .* "
+                                                     f"narrowest is {narrowest.name}"):
+                    assemble(sde, state, formulation)
+
+
+def test_state_dimension_mismatch_raises_one_error():
+    rng = np.random.default_rng(49)
+    sde, _ = random_stable_model(rng, 2, "non_autonomous")
+    state = random_state(rng, 3)
+    t = sde.t0 + 1.0
+    config = McConfig(n_paths=4, n_steps=2, seed=0)
+    calls = (lambda: assemble(sde, state),
+             lambda: rk4_moments(sde, state, t, 10),
+             lambda: euler_maruyama_mc(sde, state, t, config),
+             lambda: moments_baseline(sde, state, t))
+    for call in calls:
+        with pytest.raises(ValueError,
+                           match=r"^state dimension 3 != model dimension 2$"):
+            call()
 
 
 def test_moments_at_initial_time_exact():
@@ -310,13 +333,20 @@ def test_overflowing_moments_raise_typed_error():
         with pytest.raises(ExpmOverflowError):
             propagate_grid(big, big_state, 10.0, 12, options=action)
         # e^{100 t} overflows the second moment first at t = 4 of 6; the
-        # error names that time, not the last one
+        # error names that time, not the last one, on the dense route and on
+        # the named action route, which returns the overflowed Krylov rows
+        # (the additive model takes that route under the general formulation)
         state = MomentState(m0=[1.0], P0=[[1.0]])
-        for sde in (LinearSde(d=1, m=1, A=[[100.0]], a0=[0.0], B=[[[0.1]]],
-                              b0=[[0.0]]),
-                    LinearSde(d=1, m=1, A=[[100.0]], a0=[0.0], b0=[[1.0]])):
+        for sde, vector_formulation in (
+                (LinearSde(d=1, m=1, A=[[100.0]], a0=[0.0], B=[[[0.1]]],
+                           b0=[[0.0]]), None),
+                (LinearSde(d=1, m=1, A=[[100.0]], a0=[0.0], b0=[[1.0]]),
+                 Formulation.GENERAL)):
             with pytest.raises(ExpmOverflowError, match=r"at t = 4 "):
                 propagate_grid(sde, state, 1.0, 6)
+            with pytest.raises(ExpmOverflowError, match=r"at t = 4 "):
+                propagate_grid(sde, state, 1.0, 6, options=action,
+                               formulation=vector_formulation)
 
 
 def test_formulation_consistency():
