@@ -13,8 +13,11 @@ A grid costs one exponential on either route: the dense route reuses
 e^{M step} for every step, and the action route takes every step in one
 Krylov basis that must converge at the grid's last time. A second table
 times 20-step grids to tau on the same systems at d = 10..16 against the
-same limit. BLAS is pinned to one thread unless the environment already
-sets it.
+same limit. A last table runs the default route at d = 40 (n = 1687 and
+1642) on the Hilbert systems, where M alone would take 23 MB: it times
+the action only and prints the size of its Krylov basis. The action
+route applies M from its blocks and never forms it. BLAS is pinned to
+one thread unless the environment already sets it.
 
     python3 demos/krylov_crossover.py
 """
@@ -29,7 +32,8 @@ import time  # noqa: E402
 import numpy as np  # noqa: E402
 
 from sdemoments import (ExpmOptions, LinearSde, MomentState,  # noqa: E402
-                        assemble, hilbert_systems, moments_at, propagate_grid)
+                        assemble, expm_action, hilbert_systems, moments_at,
+                        propagate_grid)
 from sdemoments.moments import _DENSE_LIMIT  # noqa: E402
 
 DENSE = ExpmOptions(method="dense")
@@ -98,6 +102,32 @@ def table(title, dims, run):
                       f"{agreement(action, dense):10.1e}  {route}")
 
 
+def basis_size(aug, tau):
+    """Krylov vectors the action takes: one product of M per vector."""
+    products = []
+
+    def counted(x):
+        products.append(None)
+        return aug.apply(x)
+
+    expm_action(counted, aug.u, tau)
+    return len(products)
+
+
+def large_table(d):
+    """Default route, action only, on the Hilbert systems of dimension d."""
+    print(f"\nmoments_at at t0 + tau, default route at d = {d}, no dense "
+          f"comparison")
+    print("system  formulation     d    n   tau  action ms  basis")
+    for label, index in (("non_autonomous", 0), ("autonomous", 1)):
+        sde, state = hilbert_systems(d)[index][1:]
+        aug = assemble(sde, state)
+        for tau in (1.0, 10.0):
+            ms, _ = best_of(lambda: moments_at(sde, state, sde.t0 + tau))
+            print(f"hilbert {label:15s} {d:2d} {aug.n:4d} {tau:5.0f} "
+                  f"{ms:10.2f} {basis_size(aug, tau):6d}")
+
+
 print(f"BLAS threads {os.environ['OPENBLAS_NUM_THREADS']}")
 table("moments_at at t0 + tau", range(6, 17),
       lambda sde, state, tau, options:
@@ -105,3 +135,4 @@ table("moments_at at t0 + tau", range(6, 17),
 table("propagate_grid, 20 steps to t0 + tau (last grid time)", range(10, 17),
       lambda sde, state, tau, options:
       propagate_grid(sde, state, tau / 20, 20, options)[-1])
+large_table(40)

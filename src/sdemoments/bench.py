@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kron import hilbert
-from .model import LinearSde, MomentState
+from .model import LinearSde, MomentState, _check_count
 from .moments import moments_at, moments_baseline
 
 __all__ = ["BenchRow", "BenchReport", "hilbert_systems", "run_bench"]
@@ -133,8 +133,7 @@ def run_bench(dims: tuple[int, ...] = (2, 8), reps: int = 7,
     are stretched over an auto-sized inner loop. Also records the max
     relative disagreement of the two routes.
     """
-    if not isinstance(reps, (int, np.integer)) or reps < 5:
-        raise ValueError(f"reps must be an integer >= 5, got {reps!r}")
+    _check_count(reps, "reps", 5)
     for d in dims:
         if not 1 <= d <= 12:
             raise ValueError(f"dims must lie in 1..12, got {d!r}")

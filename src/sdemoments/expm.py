@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _check_count
+
 __all__ = [
     "ExpmOptions",
     "ExpmError",
@@ -196,23 +198,38 @@ def expm(a, t: float = 1.0) -> np.ndarray:
     return result
 
 
+def _norm(x: np.ndarray):
+    """2-norm of a vector, rescaled by its largest entry where the squares
+    overflow; inf or nan only if the norm itself is not finite."""
+    r = np.linalg.norm(x)
+    if math.isinf(r):
+        s = np.abs(x).max()
+        if math.isfinite(s):
+            r = s * np.linalg.norm(x / s)
+    return r
+
+
 def expm_action(a, v, t: float = 1.0, n_steps: int | None = None) -> np.ndarray:
     """Product e^(a*t) @ v without forming the dense exponential.
 
-    Builds an Arnoldi basis of the Krylov space span{v, a v, a^2 v, ...},
-    orthogonalised by two block passes of classical Gram-Schmidt, and
-    exponentiates the small projected Hessenberg matrix H_m with
-    :func:`expm` only at checkpoints: m = 8, then each time m reaches
-    1.25 times the previous checkpoint. With y = e^(H_m t) e_1, it stops
-    once Saad's a posteriori estimate t h_{m+1,m} |y_m| / ||y|| of the
-    relative error is at most 1e-12 (Saad, SINUM 1992; the factor t makes
-    it the estimate for the Arnoldi process of a t), on exact
-    invariance (happy breakdown), or when the basis spans the full space,
-    where the projection is exact. Reaching 96 basis vectors first raises
-    :class:`ExpmConvergenceError` carrying the last estimate as its
-    ``residual``; the dense exponential is then the remedy. A product that
-    leaves the double range comes back non-finite, without a numpy
-    warning; :func:`~sdemoments.moments.make_result` reports it.
+    ``a`` is a square array or a callable returning a @ x for a vector x,
+    which lets a structured matrix act without being formed; n is the
+    length of ``v``. Builds an Arnoldi basis of the Krylov space
+    span{v, a v, a^2 v, ...}, orthogonalised by two block passes of
+    classical Gram-Schmidt, and exponentiates the small projected
+    Hessenberg matrix H_m with :func:`expm` only at checkpoints: m = 8,
+    then each time m reaches 1.25 times the previous checkpoint. With
+    y = e^(H_m t) e_1, it stops once Saad's a posteriori estimate
+    t h_{m+1,m} |y_m| / ||y|| of the relative error is at most 1e-12 (Saad,
+    SINUM 1992; the factor t makes it the estimate for the Arnoldi process
+    of a t), on exact invariance (happy breakdown), or when the basis spans
+    the full space, where the projection is exact. Reaching 96 basis
+    vectors first raises :class:`ExpmConvergenceError` carrying the last
+    estimate as its ``residual``; the dense exponential is then the remedy.
+    A product a x, or a norm of v, that is not finite raises
+    :class:`ExpmOverflowError`. A result that leaves the double range comes
+    back non-finite, without a numpy warning;
+    :func:`~sdemoments.moments.make_result` reports it.
 
     With ``n_steps`` given, one basis serves a uniform grid: row k - 1 of
     the ``(n_steps, n)`` result is e^(a*k*t) @ v. Checkpoints form every
@@ -221,23 +238,33 @@ def expm_action(a, v, t: float = 1.0, n_steps: int | None = None) -> np.ndarray:
     tolerance at every k: a long grid converges at horizon n_steps * t or
     raises, unless some y_k overflows, which returns the rows as they are.
     """
-    a = _as_square(a)
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.shape[0] != a.shape[0]:
-        raise ValueError(f"v must be 1-d of length {a.shape[0]}, got shape {v.shape}")
+    if callable(a):
+        product = a
+        if v.ndim != 1 or v.shape[0] < 1:
+            raise ValueError(f"v must be 1-d and nonempty, got shape {v.shape}")
+    else:
+        matrix = _as_square(a)
+        product = matrix.__matmul__
+        if v.ndim != 1 or v.shape[0] != matrix.shape[0]:
+            raise ValueError(f"v must be 1-d of length {matrix.shape[0]}, "
+                             f"got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("v contains non-finite entries")
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
-    if n_steps is not None and (not isinstance(n_steps, (int, np.integer))
-                                or n_steps < 1):
-        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    if n_steps is not None:
+        _check_count(n_steps, "n_steps", 1)
 
-    n = a.shape[0]
-    beta = np.linalg.norm(v)
+    n = v.shape[0]
+    with np.errstate(over="ignore"):
+        beta = _norm(v)
     if t == 0.0 or beta == 0.0:
         return v.copy() if n_steps is None else np.tile(v, (n_steps, 1))
+    if not math.isfinite(beta):
+        raise ExpmOverflowError("the norm of v overflows double precision; "
+                                "rescale the problem")
 
     cap = min(n, _MAX_KRYLOV)
     basis = np.zeros((cap + 1, n))  # row j is the j-th Arnoldi vector
@@ -246,22 +273,27 @@ def expm_action(a, v, t: float = 1.0, n_steps: int | None = None) -> np.ndarray:
 
     checkpoint = 8
     estimate = np.inf
-    for j in range(cap):
-        w = a @ basis[j]
-        q = basis[:j + 1]
-        for _ in range(2):  # CGS2: the second pass restores orthogonality
-            c = q @ w
-            w -= c @ q
-            h[:j + 1, j] += c
-        h_next = np.linalg.norm(w)
-        h[j + 1, j] = h_next
-        m = j + 1
-        breakdown = h_next <= 1e-14 * max(1.0, np.abs(h[:m, :m]).max())
-        if breakdown or m == cap or m >= checkpoint:
-            step = expm(h[:m, :m], t)
-            y, power = step[:, :1].T, step  # row k - 1 is e^(H_m k t) e_1
-            # a later step, a norm or the product can overflow
-            with np.errstate(over="ignore", invalid="ignore"):
+    # an overflowing product, a later step, a norm or the result can leave
+    # the double range; each is checked, so numpy's warnings are silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(cap):
+            w = product(basis[j])
+            q = basis[:j + 1]
+            for _ in range(2):  # CGS2: the second pass restores orthogonality
+                c = q @ w
+                w -= c @ q
+                h[:j + 1, j] += c
+            h_next = _norm(w)
+            if not math.isfinite(h_next):
+                raise ExpmOverflowError(
+                    "a Krylov product or its norm overflows double precision; "
+                    "rescale the problem")
+            h[j + 1, j] = h_next
+            m = j + 1
+            breakdown = h_next <= 1e-14 * max(1.0, np.abs(h[:m, :m]).max())
+            if breakdown or m == cap or m >= checkpoint:
+                step = expm(h[:m, :m], t)
+                y, power = step[:, :1].T, step  # row k - 1 is e^(H_m k t) e_1
                 # doubling: rows L + 1..2L are rows 1..L times e^(H_m L t)
                 while len(y) < (n_steps or 1):
                     y, power = np.vstack([y, y @ power.T])[:n_steps], power @ power
@@ -275,8 +307,8 @@ def expm_action(a, v, t: float = 1.0, n_steps: int | None = None) -> np.ndarray:
                 if breakdown or m == n or estimate <= _KRYLOV_TOL or overflow:
                     rows = [beta * (yk @ q) for yk in y]  # as a one-vector call forms it
                     return rows[0] if n_steps is None else np.array(rows)
-            checkpoint = math.ceil(1.25 * m)
-        basis[j + 1] = w / h_next
+                checkpoint = math.ceil(1.25 * m)
+            basis[j + 1] = w / h_next
 
     raise ExpmConvergenceError(
         f"Krylov iteration did not converge within {cap} iterations "

@@ -68,6 +68,19 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_count(value, name: str, minimum: int, path: str | None = None) -> int:
+    """value as an int, if it is an integer >= minimum.
+
+    bool is no count, as in :func:`parse_model`. Raises ValueError, or
+    ModelError locating ``path`` when one is given.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        message = f"{name} must be an integer >= {minimum}, got {value!r}"
+        raise ValueError(message) if path is None else ModelError(message, path)
+    return int(value)
+
+
 def _finite(a: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ModelError("contains non-finite entries", name)
@@ -107,11 +120,8 @@ class LinearSde:
     t0: float = 0.0
 
     def __post_init__(self):
-        _check(isinstance(self.d, (int, np.integer)) and self.d >= 1,
-               f"d must be an integer >= 1, got {self.d!r}", "d")
-        _check(isinstance(self.m, (int, np.integer)) and self.m >= 0,
-               f"m must be an integer >= 0, got {self.m!r}", "m")
-        d, m = int(self.d), int(self.m)
+        d = _check_count(self.d, "d", 1, path="d")
+        m = _check_count(self.m, "m", 0, path="m")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "m", m)
         t0 = float(self.t0)

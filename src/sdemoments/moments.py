@@ -13,13 +13,15 @@ solely as a benchmark comparator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .expm import (ExpmConvergenceError, ExpmError, ExpmOptions,
                    ExpmOverflowError, expm, expm_action)
-from .model import Formulation, LinearSde, MomentState, classify
+from .model import Formulation, LinearSde, MomentState, _check_count, classify
 
 __all__ = [
     "AugmentedSystem",
@@ -43,6 +45,13 @@ _ADDITIVE_MAX_ERROR = 1e-6
 class AugmentedSystem:
     """Augmented matrix M, initial vector u and extraction metadata.
 
+    M = [[calA, forcing], [0, flow]], with the d^2 x d^2 second-moment
+    generator calA in its vec(P) rows. Only the last columns, forcing
+    above flow, are stored; the additive formulation has no vec(P) rows,
+    so they are all of its M. :attr:`M` is built on first use, which only
+    the dense route makes: the action route applies M by :meth:`apply`
+    and never forms it.
+
     ``mean_slice`` indexes the propagated vector e^{M h} u, whose first
     d^2 entries are vec(P) (pure selectors, never materialized as
     matrices). The additive formulation has ``u = None``: its moments are
@@ -52,9 +61,62 @@ class AugmentedSystem:
     formulation: Formulation
     n: int
     d: int
-    M: np.ndarray
     u: np.ndarray | None
     mean_slice: slice | None
+    _sde: LinearSde = field(repr=False)
+    _columns: np.ndarray = field(repr=False)
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        """The dense n x n augmented matrix, built on first use.
+
+        Raises :class:`ExpmOverflowError` if some entry is not finite.
+        """
+        n = self.n
+        dd = n - self._columns.shape[1]  # the vec(P) rows: d^2, or 0 if additive
+        M = self._columns
+        if dd:
+            M = np.zeros((n, n))
+            M[:dd, :dd] = build_calA(self._sde)
+            M[:, dd:] = self._columns
+        if not np.isfinite(M).all():
+            raise _overflow_error(self._sde)
+        return M
+
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """calA's factors stacked for :meth:`apply`, left_k and right_k^T
+        each down the rows.
+
+        Raises :class:`ExpmOverflowError` if some entry of M is not finite:
+        the stored columns are checked entry by entry and calA by the bound
+        2 max|A| + m max|B_i|^2 on its entries.
+        """
+        sde = self._sde
+        b = float(np.abs(sde.B).max(initial=0.0))
+        if not (math.isfinite(2.0 * float(np.abs(sde.A).max()) + sde.m * b * b)
+                and np.isfinite(self._columns).all()):
+            raise _overflow_error(sde)
+        left, right = _calA_factors(sde)
+        return left.reshape(-1, self.d), right.transpose(0, 2, 1).reshape(-1, self.d)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """M @ x from M's blocks, without forming M.
+
+        calA acts as vec(A P + P A^T + sum_i B_i P B_i^T) on the d x d
+        reshape P of the vec(P) entries, by two matrix products and
+        O(m d^3) work.
+        """
+        dd = self.n - self._columns.shape[1]  # the vec(P) rows: d^2, or 0 if additive
+        y = self._columns @ x[dd:]
+        if dd:
+            d = self.d
+            left, right_t = self._factors
+            # x[:dd] reshapes in C order to P^T, and the operator commutes with
+            # transposition, so sum_k left_k P^T right_k^T gives the rows in order
+            products = (left @ x[:dd].reshape(d, d)).reshape(-1, d, d)
+            y[:dd] += (products.transpose(1, 0, 2).reshape(d, -1) @ right_t).ravel()
+        return y
 
 
 @dataclass(frozen=True)
@@ -157,6 +219,13 @@ def build_script_B(sde: LinearSde, state: MomentState) -> tuple[np.ndarray, ...]
     return B1, B2, B3, beta4, beta5
 
 
+def _calA_factors(sde: LinearSde) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks left_k, right_k with calA = sum_k left_k (x) right_k."""
+    eye = np.eye(sde.d)
+    return (np.concatenate(([sde.A, eye], sde.B)),
+            np.concatenate(([eye, sde.A], sde.B)))
+
+
 def build_calA(sde: LinearSde) -> np.ndarray:
     """d^2 x d^2 generator of the homogeneous second-moment flow.
 
@@ -165,9 +234,7 @@ def build_calA(sde: LinearSde) -> np.ndarray:
     (B (x) B) vec(P) = vec(B P B^T).
     """
     d = sde.d
-    eye = np.eye(d)
-    left = np.concatenate(([sde.A, eye], sde.B))
-    right = np.concatenate(([eye, sde.A], sde.B))
+    left, right = _calA_factors(sde)
     return np.einsum("kij,kab->iajb", left, right).reshape(d * d, d * d)
 
 
@@ -193,7 +260,13 @@ def assemble(sde: LinearSde, state: MomentState,
     if order.index(formulation) > order.index(narrowest):
         raise ValueError(f"formulation {formulation.name} does not cover this "
                          f"model, whose narrowest is {narrowest.name}")
+    # entries of the blocks may overflow; M and apply report that
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _layout(sde, state, formulation)
 
+
+def _layout(sde: LinearSde, state: MomentState,
+            formulation: Formulation) -> AugmentedSystem:
     d = sde.d
     dd = d * d
 
@@ -207,53 +280,61 @@ def assemble(sde: LinearSde, state: MomentState,
         M[:d, n - 1] = drive
         M[d, d + 1:2 * d + 1] = drive
         M[d + 1:2 * d + 1, d + 1:2 * d + 1] = -sde.A.T
-        return AugmentedSystem(formulation=formulation, n=n, d=d, M=M, u=None,
-                               mean_slice=None)
+        return AugmentedSystem(formulation=formulation, n=n, d=d, u=None,
+                               mean_slice=None, _sde=sde, _columns=M)
 
-    # M = [[calA, forcing], [0, mean flow]]; u seeds vec(P0), the constant
-    # 1 and the last unit vector of C, whose flow carries m_t - m0
-    calA = build_calA(sde)
+    # M = [[calA, forcing], [0, flow]]; u seeds vec(P0), the constant 1 and
+    # the last unit vector of C, whose flow carries m_t - m0
     B1, B2, B3, beta4, beta5 = build_script_B(sde, state)
     C = build_C(sde, state)
 
     if formulation is Formulation.AUTONOMOUS:
         # a1 = 0 leaves C's time entry unused: the mean flow is [[A, drive], [0, 0]]
         n = dd + d + 2
-        M = np.zeros((n, n))
-        M[:dd, :dd] = calA
-        M[:dd, dd] = B1
-        M[:dd, dd + 1:dd + 1 + d] = beta4
-        M[dd + 1:n - 1, dd + 1:n - 1] = C[:d, :d]
-        M[dd + 1:n - 1, n - 1] = C[:d, -1]
+        columns = np.zeros((n, d + 2))
+        columns[:dd, 0] = B1
+        columns[:dd, 1:d + 1] = beta4
+        columns[dd + 1:n - 1, 1:d + 1] = C[:d, :d]
+        columns[dd + 1:n - 1, d + 1] = C[:d, -1]
         u = np.zeros(n)
         u[:dd] = state.P0.ravel("F")
         u[dd] = 1.0
         u[n - 1] = 1.0
-        return AugmentedSystem(formulation=formulation, n=n, d=d, M=M, u=u,
-                               mean_slice=slice(dd + 1, dd + 1 + d))
+        return AugmentedSystem(formulation=formulation, n=n, d=d, u=u,
+                               mean_slice=slice(dd + 1, dd + 1 + d), _sde=sde,
+                               _columns=columns)
 
     # the mean flow appears twice, as a ramp s e^{C s} r and as e^{C s} r,
     # followed by s^2, s and 1
     w = d + 2
     n = dd + 2 * w + 3
-    M = np.zeros((n, n))
-    M[:dd, :dd] = calA
-    M[:dd, dd:dd + d] = beta5
-    M[:dd, dd + w:dd + w + d] = beta4
-    M[:dd, n - 3] = B3
-    M[:dd, n - 2] = B2
-    M[:dd, n - 1] = B1
-    M[dd:dd + w, dd:dd + w] = C
-    M[dd:dd + w, dd + w:dd + 2 * w] = np.eye(w)
-    M[dd + w:dd + 2 * w, dd + w:dd + 2 * w] = C
-    M[n - 3, n - 2] = 2.0
-    M[n - 2, n - 1] = 1.0
+    columns = np.zeros((n, 2 * w + 3))
+    columns[:dd, :d] = beta5
+    columns[:dd, w:w + d] = beta4
+    columns[:dd, -3] = B3
+    columns[:dd, -2] = B2
+    columns[:dd, -1] = B1
+    flow = columns[dd:]
+    flow[:w, :w] = C
+    flow[:w, w:2 * w] = np.eye(w)
+    flow[w:2 * w, w:2 * w] = C
+    flow[-3, -2] = 2.0
+    flow[-2, -1] = 1.0
     u = np.zeros(n)
     u[:dd] = state.P0.ravel("F")
     u[dd + 2 * w - 1] = 1.0
     u[n - 1] = 1.0
-    return AugmentedSystem(formulation=formulation, n=n, d=d, M=M, u=u,
-                           mean_slice=slice(dd + w, dd + w + d))
+    return AugmentedSystem(formulation=formulation, n=n, d=d, u=u,
+                           mean_slice=slice(dd + w, dd + w + d), _sde=sde,
+                           _columns=columns)
+
+
+def _overflow_error(sde: LinearSde) -> ExpmOverflowError:
+    scale = max(float(np.abs(a).max(initial=0.0))
+                for a in (sde.A, sde.a0, sde.a1, sde.B, sde.b0, sde.b1))
+    return ExpmOverflowError(
+        f"the augmented generator of this model overflows double precision: "
+        f"its coefficients reach {scale:.3g}; rescale the model")
 
 
 def _check_dimension(sde: LinearSde, state: MomentState) -> None:
@@ -317,7 +398,7 @@ def _propagate(aug: AugmentedSystem, state: MomentState, step: float,
     rows = None  # row k - 1: e^{M k step} u, or e^{M k step} if additive
     if _wants_action(aug, options):
         try:
-            rows = expm_action(aug.M, aug.u, step, len(times))
+            rows = expm_action(aug.apply, aug.u, step, len(times))
         except ExpmConvergenceError:
             # a route chosen by size alone is no promise of convergence
             if options is not None:
@@ -383,8 +464,7 @@ def propagate_grid(sde: LinearSde, state: MomentState, step: float,
     """
     if not (step > 0.0 and np.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step!r}")
-    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
-        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    _check_count(n_steps, "n_steps", 1)
     aug = assemble(sde, state, formulation)
     times = [sde.t0 + k * step for k in range(1, n_steps + 1)]
     return _propagate(aug, state, step, times, options)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LinearSde, MomentState
+from .model import LinearSde, MomentState, _check_count
 from .moments import MomentResult, _check_dimension, _elapsed, make_result
 
 __all__ = [
@@ -60,8 +60,7 @@ def rk4_moments(sde: LinearSde, state: MomentState, t: float,
     """
     tau = _elapsed(sde, t)
     _check_dimension(sde, state)
-    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
-        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    _check_count(n_steps, "n_steps", 1)
 
     h = tau / n_steps
     m = np.array(state.m0, dtype=float)
@@ -93,10 +92,8 @@ class McConfig:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.n_paths, (int, np.integer)) or self.n_paths < 2:
-            raise ValueError(f"n_paths must be an integer >= 2, got {self.n_paths!r}")
-        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
-            raise ValueError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
+        _check_count(self.n_paths, "n_paths", 2)
+        _check_count(self.n_steps, "n_steps", 1)
 
 
 @dataclass(frozen=True)

@@ -68,11 +68,13 @@ def reference_make_result(t, mean, secmom_raw):
 def reference_grid(sde, state, step, n_steps, method, formulation=None):
     """propagate_grid one point at a time: each grid point is extracted
     from its own e^{M k step} u (or e^{M k step}) and packaged by
-    :func:`reference_make_result`."""
+    :func:`reference_make_result`. The action route applies M by the
+    engine's own product, which test_structured_product_matches_dense_M
+    checks against M @ x."""
     aug = assemble(sde, state, formulation)
     d = aug.d
     if method == "action":
-        points = list(expm_action(aug.M, aug.u, step, n_steps))
+        points = list(expm_action(aug.apply, aug.u, step, n_steps))
     else:
         E = expm(aug.M, step)
         points = [E if aug.u is None else E @ aug.u]

@@ -132,9 +132,19 @@ def test_cli_moments_input_errors(tmp_path, capsys):
 def test_cli_moments_overflow_is_a_computation_failure(tmp_path, capsys):
     base = {"d": 1, "m": 1, "t0": 0.0, "A": [[333.0]], "a0": [0.0],
             "m0": [1e10], "P0": [[1e20]]}
+    docs = [{**base, **noise}
+            for noise in ({"B": [[[0.1]]], "b0": [[0.0]]}, {"b0": [[1.0]]})]
+    # B (x) B overflows: on the dense route at d = 2, on the action route at
+    # d = 11 (n = 134)
+    for d in (2, 11):
+        eye = np.eye(d)
+        docs.append({"d": d, "m": 1, "t0": 0.0, "A": (-eye).tolist(),
+                     "a0": [0.0] * d, "B": [(1e160 * eye).tolist()],
+                     "b0": [[0.0] * d], "m0": [1.0] * d,
+                     "P0": np.ones((d, d)).tolist()})
     path = tmp_path / "overflow.json"
-    for noise in ({"B": [[[0.1]]], "b0": [[0.0]]}, {"b0": [[1.0]]}):
-        path.write_text(json.dumps({**base, **noise}))
+    for doc in docs:
+        path.write_text(json.dumps(doc))
         # a numpy RuntimeWarning would raise here instead of reaching stderr
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -142,6 +152,8 @@ def test_cli_moments_overflow_is_a_computation_failure(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:") and "overflow" in err[0]
+        if doc["d"] > 1:
+            assert "1e+160" in err[0]
 
 
 def test_cli_usage_error():

@@ -209,6 +209,38 @@ def test_action_convergence_failure():
     assert 'ExpmOptions(method="dense")' in str(excinfo.value)
 
 
+def test_action_of_a_product_callable_is_the_matrix_action():
+    # a callable returning a @ x gives the array's result bit for bit
+    rng = np.random.default_rng(24)
+    for n in (3, 40, 130):
+        a = rng.uniform(-1.0, 1.0, (n, n)) / np.sqrt(n)
+        v = rng.uniform(-1.0, 1.0, n)
+        for n_steps in (None, 1, 7):
+            np.testing.assert_array_equal(
+                expm_action(lambda x: a @ x, v, 0.7, n_steps),
+                expm_action(a, v, 0.7, n_steps))
+    with pytest.raises(ValueError, match="1-d"):
+        expm_action(lambda x: x, np.ones((2, 2)), 1.0)
+
+
+def test_action_raises_on_a_non_finite_product():
+    # the Krylov basis never runs on with a product that left the double range
+    v = np.ones(4)
+    for value in (np.inf, np.nan):
+        with pytest.raises(ExpmOverflowError, match="Krylov product"):
+            expm_action(lambda x: np.full(4, value), v, 1.0)
+    with pytest.raises(ExpmOverflowError, match="Krylov product"):
+        expm_action(np.full((4, 4), 1e308), v, 1.0)
+    with pytest.raises(ExpmOverflowError, match="norm of v"):
+        expm_action(np.eye(4), np.full(4, 1e308), 1.0)
+    # vectors whose squares overflow are still representable
+    a = np.array([[-1.0, 0.5], [0.0, -2.0]])
+    v = np.array([1e200, -3e199])
+    want = scipy.linalg.expm(a) @ v
+    got = expm_action(a, v, 1.0)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_action_input_validation():
     a = np.eye(3)
     with pytest.raises(ValueError):

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from sdemoments import (Formulation, LinearSde, ModelError, MomentState,
-                        classify, parse_model, serialize_model)
+from sdemoments import (Formulation, LinearSde, McConfig, ModelError,
+                        MomentState, classify, expm_action, parse_model,
+                        propagate_grid, rk4_moments, run_bench, serialize_model)
 from support import random_stable_model
 
 OU_TEXT = """{
@@ -47,6 +48,32 @@ def test_shape_errors_carry_field_path():
         LinearSde(d=2.5, m=0, A=np.eye(2), a0=[0.0, 0.0])
     with pytest.raises(ModelError, match="^m: "):
         LinearSde(d=1, m=1.7, A=[[0.0]], a0=[0.0], b0=[[1.0]])
+
+
+def test_counts_reject_bools():
+    # True is no count of 1 anywhere, as parse_model already holds
+    sde = LinearSde(d=1, m=1, A=[[-1.0]], a0=[0.0], b0=[[1.0]])
+    state = MomentState(m0=[0.0], P0=[[1.0]])
+    cases = [
+        (lambda: LinearSde(d=True, m=1, A=[[-1.0]], a0=[0.0], b0=[[1.0]]),
+         ModelError, "d: d must be an integer >= 1, got True"),
+        (lambda: LinearSde(d=1, m=False, A=[[-1.0]], a0=[0.0]),
+         ModelError, "m: m must be an integer >= 0, got False"),
+        (lambda: propagate_grid(sde, state, 0.1, n_steps=True),
+         ValueError, "n_steps must be an integer >= 1, got True"),
+        (lambda: rk4_moments(sde, state, 1.0, True),
+         ValueError, "n_steps must be an integer >= 1, got True"),
+        (lambda: expm_action(np.eye(2), np.ones(2), 1.0, n_steps=True),
+         ValueError, "n_steps must be an integer >= 1, got True"),
+        (lambda: McConfig(n_paths=10, n_steps=True, seed=0),
+         ValueError, "n_steps must be an integer >= 1, got True"),
+        (lambda: run_bench(dims=(1,), reps=True),
+         ValueError, "reps must be an integer >= 5, got True"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as excinfo:
+            call()
+        assert str(excinfo.value) == message
 
 
 def test_forcing_evaluation():

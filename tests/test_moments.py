@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -200,6 +201,73 @@ def _kronecker_assembly(sde, state, formulation):
     return M, u
 
 
+def test_structured_product_matches_dense_M():
+    # the action route's product from M's blocks equals M @ x on every
+    # formulation, including the wider ones on narrower models
+    rng = np.random.default_rng(63)
+    covered = set()
+    for d in range(1, 9):
+        for m in range(4):
+            for kind in CLASSES:
+                sde, state = random_stable_model(rng, d, kind, m=m)
+                for formulation in Formulation:
+                    try:
+                        aug = assemble(sde, state, formulation)
+                    except ValueError:
+                        continue
+                    u = np.ones(aug.n) if aug.u is None else aug.u
+                    for x in (u, rng.standard_normal(aug.n)):
+                        want = aug.M @ x
+                        got = aug.apply(x)
+                        assert got.shape == want.shape
+                        assert (np.linalg.norm(got - want)
+                                <= 1e-14 * np.linalg.norm(want))
+                    covered.add((formulation, classify(sde)))
+    assert len(covered) == 6
+
+
+def test_action_routes_never_form_M(monkeypatch):
+    # the default and the named action route run on the product alone: at
+    # d = 12 without calA, and at d = 24 (n = 631, where M takes 3.2 MB)
+    # without any allocation the size of M
+    action = ExpmOptions(method="action")
+    rng = np.random.default_rng(64)
+    cases = []
+    for d in (12, 24):
+        for kind in ("non_autonomous", "autonomous_multiplicative"):
+            sde, state = random_stable_model(rng, d, kind, m=2)
+            sde = dataclasses.replace(sde, B=sde.B / np.sqrt(d))
+            assert _wants_action(assemble(sde, state), None)
+            dense = None
+            if d == 12:
+                dense = [moments_at(sde, state, sde.t0 + 2.0,
+                                    ExpmOptions(method="dense"))]
+                dense += propagate_grid(sde, state, 0.5, 4,
+                                        ExpmOptions(method="dense"))
+            cases.append((sde, state, dense))
+
+    def forbidden(sde):
+        raise AssertionError("build_calA called on the action route")
+
+    monkeypatch.setattr(moments_module, "build_calA", forbidden)
+    for sde, state, dense in cases:
+        n = assemble(sde, state).n
+        for options in (None, action):
+            tracemalloc.start()
+            try:
+                got = [moments_at(sde, state, sde.t0 + 2.0, options)]
+                got += propagate_grid(sde, state, 0.5, 4, options)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if dense is None:
+                assert peak < 8 * n * n
+                continue
+            for res, ref in zip(got, dense, strict=True):
+                assert rel_diff(res.mean, ref.mean, floor=1.0) < 1e-10
+                assert rel_diff(res.secmom, ref.secmom) < 1e-10
+
+
 def test_assemble_matches_kronecker_construction():
     rng = np.random.default_rng(60)
     for d in range(1, 7):
@@ -347,6 +415,30 @@ def test_overflowing_moments_raise_typed_error():
             with pytest.raises(ExpmOverflowError, match=r"at t = 4 "):
                 propagate_grid(sde, state, 1.0, 6, options=action,
                                formulation=vector_formulation)
+
+
+def test_overflowing_generator_raises_typed_error():
+    # B = 1e160 I makes B (x) B overflow: the dense route would meet a
+    # non-finite M and the action route a non-finite product, and both name
+    # the model's scale instead
+    for d in (2, 11):
+        sde = LinearSde(d=d, m=1, A=-np.eye(d), a0=np.zeros(d),
+                        B=[1e160 * np.eye(d)], b0=np.zeros((1, d)))
+        state = MomentState(m0=np.ones(d), P0=np.ones((d, d)))
+        routes = [None, ExpmOptions(method="dense"), ExpmOptions(method="action")]
+        assert _wants_action(assemble(sde, state), None) == (d == 11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for options in routes:
+                with pytest.raises(ExpmOverflowError, match=r"reach 1e\+160"):
+                    moments_at(sde, state, 1.0, options)
+                with pytest.raises(ExpmOverflowError, match=r"reach 1e\+160"):
+                    propagate_grid(sde, state, 0.5, 2, options)
+            with pytest.raises(ExpmOverflowError, match=r"reach 1e\+160"):
+                assemble(sde, state).M
+    # expm itself keeps rejecting a non-finite matrix as bad input
+    with pytest.raises(ValueError, match="non-finite"):
+        expm(np.full((2, 2), np.inf))
 
 
 def test_formulation_consistency():
