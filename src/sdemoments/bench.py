@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,34 +88,41 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
 
-def _inner_count(fn) -> int:
+def _timed(fn, sde: LinearSde, n_inner: int) -> float:
+    """Seconds per call of fn(model) over n_inner fresh copies of sde.
+
+    :func:`~sdemoments.moments.assemble` reuses the system of the model
+    it was last given, so each call gets a new model object, copied
+    outside the timed loop, and times a cold evaluation.
+    """
+    models = [replace(sde) for _ in range(n_inner)]
+    start = time.perf_counter()
+    for model in models:
+        fn(model)
+    return (time.perf_counter() - start) / n_inner
+
+
+def _inner_count(fn, sde: LinearSde) -> int:
     """Calls per sample so that one sample lasts at least _MIN_SAMPLE."""
-    fn()
+    _timed(fn, sde, 1)
     n_inner = 1
-    while True:
-        start = time.perf_counter()
-        for _ in range(n_inner):
-            fn()
-        if time.perf_counter() - start >= _MIN_SAMPLE or n_inner >= 1 << 20:
-            return n_inner
+    while _timed(fn, sde, n_inner) * n_inner < _MIN_SAMPLE and n_inner < 1 << 20:
         n_inner *= 2
+    return n_inner
 
 
-def _median_times(fns, reps: int) -> list[float]:
-    """Median time per call of each function over ``reps`` samples.
+def _median_times(fns, sde: LinearSde, reps: int) -> list[float]:
+    """Median time per call of each fn(model) over ``reps`` samples.
 
     The functions are sampled in turn, one sample each per round, so that
     load from other processes, which comes and goes within seconds, falls
     on all of them alike and cancels in their ratios.
     """
-    counts = [_inner_count(fn) for fn in fns]
+    counts = [_inner_count(fn, sde) for fn in fns]
     samples = [[] for _ in fns]
     for _ in range(reps):
         for fn, n_inner, out in zip(fns, counts, samples):
-            start = time.perf_counter()
-            for _ in range(n_inner):
-                fn()
-            out.append((time.perf_counter() - start) / n_inner)
+            out.append(_timed(fn, sde, n_inner))
     return [float(np.median(out)) for out in samples]
 
 
@@ -130,8 +137,9 @@ def run_bench(dims: tuple[int, ...] = (2, 8), reps: int = 7,
 
     Each measurement is a median over ``reps`` samples, taken in turn
     with the other route's; samples shorter than the clock can resolve
-    are stretched over an auto-sized inner loop. Also records the max
-    relative disagreement of the two routes.
+    are stretched over an auto-sized inner loop. Every timed call gets a
+    fresh copy of the model, so neither route reuses an earlier call's
+    work. Also records the max relative disagreement of the two routes.
     """
     _check_count(reps, "reps", 5)
     for d in dims:
@@ -145,8 +153,8 @@ def run_bench(dims: tuple[int, ...] = (2, 8), reps: int = 7,
             agreement = max(_rel_diff(res_new.mean, res_old.mean),
                             _rel_diff(res_new.secmom, res_old.secmom))
             time_new, time_old = _median_times(
-                (lambda: moments_at(sde, state, t),
-                 lambda: moments_baseline(sde, state, t)), reps)
+                (lambda model: moments_at(model, state, t),
+                 lambda model: moments_baseline(model, state, t)), sde, reps)
             rows.append(BenchRow(equation_class=label, d=d,
                                  time_new=time_new, time_baseline=time_old,
                                  ratio=time_new / time_old, reps=reps,

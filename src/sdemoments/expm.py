@@ -171,8 +171,13 @@ def expm(a, t: float = 1.0) -> np.ndarray:
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
 
-    b = a * t
+    with np.errstate(over="ignore"):
+        b = a * t
     norm = np.linalg.norm(b, 1)
+    if not math.isfinite(norm):
+        raise ExpmOverflowError(
+            "the norm of the scaled matrix a t overflows double precision, "
+            "so it cannot be scaled for squaring; reduce t or rescale the problem")
     if norm == 0.0:
         result = np.eye(b.shape[0])
     else:
@@ -209,6 +214,98 @@ def _norm(x: np.ndarray):
     return r
 
 
+class _ResumableProduct:
+    """Base of product callables x -> a @ x that keep their Krylov basis.
+
+    :func:`expm_action` stores the Arnoldi basis it builds for such an
+    ``a`` on the object and continues it on a later call with the same
+    ``v``: the Krylov space does not depend on t. Subclasses define
+    ``__call__``. An object must not serve two threads at once.
+    """
+
+    _arnoldi = None
+
+
+class _Arnoldi:
+    """Arnoldi basis of span{v, a v, a^2 v, ...}, grown on demand.
+
+    Row j of ``basis`` is the j-th orthonormal vector and ``h`` the
+    projected Hessenberg matrix; ``size`` steps are taken, so rows
+    0..size of ``basis`` and columns 0..size-1 of ``h`` are final.
+    ``closed`` marks a happy breakdown at the last step: the space is
+    invariant and does not grow. The basis holds no reference to the
+    product that builds it, which may own it.
+    """
+
+    def __init__(self, v: np.ndarray, beta: float, cap: int):
+        self.v = v.copy()
+        self.basis = np.zeros((cap + 1, v.shape[0]))
+        self.basis[0] = v / beta
+        self.h = np.zeros((cap + 1, cap))
+        self.size = 0
+        self.closed = False
+
+    def extend(self, product, m: int) -> int:
+        """Steps until the basis has m vectors or closes; its size then.
+
+        Orthogonalises by two block passes of classical Gram-Schmidt.
+        Raises :class:`ExpmOverflowError`, taking no step, when a product
+        or its norm is not finite.
+        """
+        basis, h = self.basis, self.h
+        while self.size < m and not self.closed:
+            j = self.size
+            w = product(basis[j])
+            q = basis[:j + 1]
+            column = np.zeros(j + 1)
+            for _ in range(2):  # CGS2: the second pass restores orthogonality
+                c = q @ w
+                w -= c @ q
+                column += c
+            h_next = _norm(w)
+            if not math.isfinite(h_next):
+                raise ExpmOverflowError(
+                    "a Krylov product or its norm overflows double precision; "
+                    "rescale the problem")
+            h[:j + 1, j] = column
+            h[j + 1, j] = h_next
+            self.size = j + 1
+            self.closed = h_next <= 1e-14 * max(1.0, np.abs(h[:j + 1, :j + 1]).max())
+            if not self.closed:
+                basis[j + 1] = w / h_next
+        return min(m, self.size)
+
+
+def _arnoldi(a, v: np.ndarray, beta: float, cap: int) -> _Arnoldi:
+    """The basis an evaluation of e^(a t) v continues: the one kept on a
+    :class:`_ResumableProduct` for this v, or a new one."""
+    if not isinstance(a, _ResumableProduct):
+        return _Arnoldi(v, beta, cap)
+    if a._arnoldi is None or not np.array_equal(a._arnoldi.v, v):
+        a._arnoldi = None  # free the old basis before allocating the new one
+        a._arnoldi = _Arnoldi(v, beta, cap)
+    return a._arnoldi
+
+
+def _next_checkpoint(previous: tuple[int, float] | None, m: int,
+                     estimate: float) -> int:
+    """Basis size of the next checkpoint after one at m.
+
+    ``previous`` is the checkpoint before, as (size, estimate). Without
+    one, 1.25 m. With one, log(estimate) is extrapolated linearly in the
+    basis size to _KRYLOV_TOL, within [ceil(1.05 m), 2 m]; an estimate
+    that did not fall gives 2 m.
+    """
+    if previous is None:
+        return math.ceil(1.25 * m)
+    low, high = math.ceil(1.05 * m), 2 * m
+    slope = (math.log(estimate) - math.log(previous[1])) / (m - previous[0])
+    if not slope < 0.0:  # also a nan from an estimate that is nan or inf
+        return high
+    target = m + (math.log(_KRYLOV_TOL) - math.log(estimate)) / slope
+    return max(low, math.ceil(min(target, high)))
+
+
 def expm_action(a, v, t: float = 1.0, n_steps: int | None = None) -> np.ndarray:
     """Product e^(a*t) @ v without forming the dense exponential.
 
@@ -218,7 +315,8 @@ def expm_action(a, v, t: float = 1.0, n_steps: int | None = None) -> np.ndarray:
     span{v, a v, a^2 v, ...}, orthogonalised by two block passes of
     classical Gram-Schmidt, and exponentiates the small projected
     Hessenberg matrix H_m with :func:`expm` only at checkpoints: m = 8,
-    then each time m reaches 1.25 times the previous checkpoint. With
+    then 10, then where the trend of the last two checkpoints' estimates,
+    log-linear in m, reaches the tolerance, within [1.05 m, 2 m]. With
     y = e^(H_m t) e_1, it stops once Saad's a posteriori estimate
     t h_{m+1,m} |y_m| / ||y|| of the relative error is at most 1e-12 (Saad,
     SINUM 1992; the factor t makes it the estimate for the Arnoldi process
@@ -230,6 +328,12 @@ def expm_action(a, v, t: float = 1.0, n_steps: int | None = None) -> np.ndarray:
     :class:`ExpmOverflowError`. A result that leaves the double range comes
     back non-finite, without a numpy warning;
     :func:`~sdemoments.moments.make_result` reports it.
+
+    The basis does not depend on t. A product object that keeps its basis
+    (:class:`~sdemoments.moments.AugmentedSystem`'s ``apply``) has a later
+    call with the same v continue it: that call walks the same checkpoints
+    and takes products only beyond the vectors already built, so it
+    returns what a new basis would, bit for bit.
 
     With ``n_steps`` given, one basis serves a uniform grid: row k - 1 of
     the ``(n_steps, n)`` result is e^(a*k*t) @ v. Checkpoints form every
@@ -267,48 +371,34 @@ def expm_action(a, v, t: float = 1.0, n_steps: int | None = None) -> np.ndarray:
                                 "rescale the problem")
 
     cap = min(n, _MAX_KRYLOV)
-    basis = np.zeros((cap + 1, n))  # row j is the j-th Arnoldi vector
-    h = np.zeros((cap + 1, cap))
-    basis[0] = v / beta
-
-    checkpoint = 8
-    estimate = np.inf
+    arnoldi = _arnoldi(a, v, beta, cap)
+    checkpoint, previous = 8, None
     # an overflowing product, a later step, a norm or the result can leave
     # the double range; each is checked, so numpy's warnings are silenced
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(cap):
-            w = product(basis[j])
-            q = basis[:j + 1]
-            for _ in range(2):  # CGS2: the second pass restores orthogonality
-                c = q @ w
-                w -= c @ q
-                h[:j + 1, j] += c
-            h_next = _norm(w)
-            if not math.isfinite(h_next):
-                raise ExpmOverflowError(
-                    "a Krylov product or its norm overflows double precision; "
-                    "rescale the problem")
-            h[j + 1, j] = h_next
-            m = j + 1
-            breakdown = h_next <= 1e-14 * max(1.0, np.abs(h[:m, :m]).max())
-            if breakdown or m == cap or m >= checkpoint:
-                step = expm(h[:m, :m], t)
-                y, power = step[:, :1].T, step  # row k - 1 is e^(H_m k t) e_1
-                # doubling: rows L + 1..2L are rows 1..L times e^(H_m L t)
-                while len(y) < (n_steps or 1):
-                    y, power = np.vstack([y, y @ power.T])[:n_steps], power @ power
-                overflow = not np.all(np.isfinite(y))  # no larger basis undoes it
-                # each row's norm by one dot, as np.linalg.norm forms a vector's
-                norms = np.sqrt(np.matmul(y[:, None], y[:, :, None]).ravel())
-                # the estimate for horizon k t; np.max keeps a nan from overflow
-                estimate = np.max(np.arange(1, len(y) + 1) * t * h_next
-                                  * np.abs(y[:, -1]) / norms)
-                # an invariant subspace or a full basis makes the projection exact
-                if breakdown or m == n or estimate <= _KRYLOV_TOL or overflow:
-                    rows = [beta * (yk @ q) for yk in y]  # as a one-vector call forms it
-                    return rows[0] if n_steps is None else np.array(rows)
-                checkpoint = math.ceil(1.25 * m)
-            basis[j + 1] = w / h_next
+        while True:
+            m = arnoldi.extend(product, min(checkpoint, cap))
+            h_next = arnoldi.h[m, m - 1]
+            step = expm(arnoldi.h[:m, :m], t)
+            y, power = step[:, :1].T, step  # row k - 1 is e^(H_m k t) e_1
+            # doubling: rows L + 1..2L are rows 1..L times e^(H_m L t)
+            while len(y) < (n_steps or 1):
+                y, power = np.vstack([y, y @ power.T])[:n_steps], power @ power
+            overflow = not np.all(np.isfinite(y))  # no larger basis undoes it
+            # each row's norm by one dot, as np.linalg.norm forms a vector's
+            norms = np.sqrt(np.matmul(y[:, None], y[:, :, None]).ravel())
+            # the estimate for horizon k t; np.max keeps a nan from overflow
+            estimate = np.max(np.arange(1, len(y) + 1) * t * h_next
+                              * np.abs(y[:, -1]) / norms)
+            # an invariant subspace or a full basis makes the projection exact
+            exact = (arnoldi.closed and m == arnoldi.size) or m == n
+            if exact or estimate <= _KRYLOV_TOL or overflow:
+                q = arnoldi.basis[:m]
+                rows = [beta * (yk @ q) for yk in y]  # as a one-vector call forms it
+                return rows[0] if n_steps is None else np.array(rows)
+            if m == cap:
+                break
+            checkpoint, previous = _next_checkpoint(previous, m, estimate), (m, estimate)
 
     raise ExpmConvergenceError(
         f"Krylov iteration did not converge within {cap} iterations "

@@ -14,13 +14,14 @@ solely as a benchmark comparator.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .expm import (ExpmConvergenceError, ExpmError, ExpmOptions,
-                   ExpmOverflowError, expm, expm_action)
+                   ExpmOverflowError, _ResumableProduct, expm, expm_action)
 from .model import Formulation, LinearSde, MomentState, _check_count, classify
 
 __all__ = [
@@ -40,6 +41,55 @@ _DENSE_LIMIT = 120
 #: largest predicted relative error the additive formulation may return
 _ADDITIVE_MAX_ERROR = 1e-6
 
+#: per thread, the last system assemble built, as (sde, state, system)
+_last = threading.local()
+
+
+class _Product(_ResumableProduct):
+    """M @ x from M's blocks, without forming M.
+
+    Holds the model and the last columns of M, forcing above flow; the
+    vec(P) rows of M are calA's, which acts as
+    vec(A P + P A^T + sum_i B_i P B_i^T) on the d x d reshape P of the
+    vec(P) entries, by two matrix products and O(m d^3) work. As a
+    :class:`~sdemoments.expm._ResumableProduct` it keeps the Krylov
+    basis of the action route between evaluations.
+    """
+
+    def __init__(self, sde: LinearSde, columns: np.ndarray):
+        self.sde = sde
+        self.columns = columns
+
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """calA's factors stacked for the product, left_k and right_k^T
+        each down the rows.
+
+        Raises :class:`ExpmOverflowError` if some entry of M is not finite:
+        the stored columns are checked entry by entry and calA by the bound
+        2 max|A| + m max|B_i|^2 on its entries.
+        """
+        sde = self.sde
+        b = float(np.abs(sde.B).max(initial=0.0))
+        if not (math.isfinite(2.0 * float(np.abs(sde.A).max()) + sde.m * b * b)
+                and np.isfinite(self.columns).all()):
+            raise _overflow_error(sde)
+        left, right = _calA_factors(sde)
+        return left.reshape(-1, sde.d), right.transpose(0, 2, 1).reshape(-1, sde.d)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        n, width = self.columns.shape
+        dd = n - width  # the vec(P) rows: d^2, or 0 if additive
+        y = self.columns @ x[dd:]
+        if dd:
+            d = self.sde.d
+            left, right_t = self._factors
+            # x[:dd] reshapes in C order to P^T, and the operator commutes with
+            # transposition, so sum_k left_k P^T right_k^T gives the rows in order
+            products = (left @ x[:dd].reshape(d, d)).reshape(-1, d, d)
+            y[:dd] += (products.transpose(1, 0, 2).reshape(d, -1) @ right_t).ravel()
+        return y
+
 
 @dataclass(frozen=True)
 class AugmentedSystem:
@@ -48,9 +98,12 @@ class AugmentedSystem:
     M = [[calA, forcing], [0, flow]], with the d^2 x d^2 second-moment
     generator calA in its vec(P) rows. Only the last columns, forcing
     above flow, are stored; the additive formulation has no vec(P) rows,
-    so they are all of its M. :attr:`M` is built on first use, which only
-    the dense route makes: the action route applies M by :meth:`apply`
-    and never forms it.
+    so they are all of its M. ``apply(x)`` is M @ x from the blocks, which
+    the action route uses and which keeps that route's Krylov basis
+    between evaluations. :attr:`M` is built on first use, which only the
+    dense route makes. ``u``, the stored columns and ``M`` are read-only,
+    as one system serves every evaluation of a model (see
+    :func:`assemble`).
 
     ``mean_slice`` indexes the propagated vector e^{M h} u, whose first
     d^2 entries are vec(P) (pure selectors, never materialized as
@@ -63,8 +116,7 @@ class AugmentedSystem:
     d: int
     u: np.ndarray | None
     mean_slice: slice | None
-    _sde: LinearSde = field(repr=False)
-    _columns: np.ndarray = field(repr=False)
+    apply: _Product = field(repr=False)
 
     @cached_property
     def M(self) -> np.ndarray:
@@ -72,51 +124,17 @@ class AugmentedSystem:
 
         Raises :class:`ExpmOverflowError` if some entry is not finite.
         """
-        n = self.n
-        dd = n - self._columns.shape[1]  # the vec(P) rows: d^2, or 0 if additive
-        M = self._columns
+        sde, columns = self.apply.sde, self.apply.columns
+        dd = self.n - columns.shape[1]  # the vec(P) rows: d^2, or 0 if additive
+        M = columns
         if dd:
-            M = np.zeros((n, n))
-            M[:dd, :dd] = build_calA(self._sde)
-            M[:, dd:] = self._columns
+            M = np.zeros((self.n, self.n))
+            M[:dd, :dd] = build_calA(sde)
+            M[:, dd:] = columns
+            M.setflags(write=False)
         if not np.isfinite(M).all():
-            raise _overflow_error(self._sde)
-        return M
-
-    @cached_property
-    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """calA's factors stacked for :meth:`apply`, left_k and right_k^T
-        each down the rows.
-
-        Raises :class:`ExpmOverflowError` if some entry of M is not finite:
-        the stored columns are checked entry by entry and calA by the bound
-        2 max|A| + m max|B_i|^2 on its entries.
-        """
-        sde = self._sde
-        b = float(np.abs(sde.B).max(initial=0.0))
-        if not (math.isfinite(2.0 * float(np.abs(sde.A).max()) + sde.m * b * b)
-                and np.isfinite(self._columns).all()):
             raise _overflow_error(sde)
-        left, right = _calA_factors(sde)
-        return left.reshape(-1, self.d), right.transpose(0, 2, 1).reshape(-1, self.d)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """M @ x from M's blocks, without forming M.
-
-        calA acts as vec(A P + P A^T + sum_i B_i P B_i^T) on the d x d
-        reshape P of the vec(P) entries, by two matrix products and
-        O(m d^3) work.
-        """
-        dd = self.n - self._columns.shape[1]  # the vec(P) rows: d^2, or 0 if additive
-        y = self._columns @ x[dd:]
-        if dd:
-            d = self.d
-            left, right_t = self._factors
-            # x[:dd] reshapes in C order to P^T, and the operator commutes with
-            # transposition, so sum_k left_k P^T right_k^T gives the rows in order
-            products = (left @ x[:dd].reshape(d, d)).reshape(-1, d, d)
-            y[:dd] += (products.transpose(1, 0, 2).reshape(d, -1) @ right_t).ravel()
-        return y
+        return M
 
 
 @dataclass(frozen=True)
@@ -246,6 +264,12 @@ def assemble(sde: LinearSde, state: MomentState,
     An explicit ``formulation`` may be wider but not narrower (see
     :class:`Formulation` for what each covers).
 
+    Each thread keeps the last system it assembled. A call with the same
+    ``sde`` and ``state`` objects and the same formulation returns that
+    system, with the dense M or the Krylov basis it has built; model and
+    state are immutable, so it cannot go stale. Any other call frees it
+    before building the next.
+
     Raises
     ------
     ValueError
@@ -260,9 +284,16 @@ def assemble(sde: LinearSde, state: MomentState,
     if order.index(formulation) > order.index(narrowest):
         raise ValueError(f"formulation {formulation.name} does not cover this "
                          f"model, whose narrowest is {narrowest.name}")
+    last = getattr(_last, "entry", None)
+    if (last is not None and last[0] is sde and last[1] is state
+            and last[2].formulation is formulation):
+        return last[2]
+    _last.entry = last = None  # free the previous system before building one
     # entries of the blocks may overflow; M and apply report that
     with np.errstate(over="ignore", invalid="ignore"):
-        return _layout(sde, state, formulation)
+        aug = _layout(sde, state, formulation)
+    _last.entry = (sde, state, aug)
+    return aug
 
 
 def _layout(sde: LinearSde, state: MomentState,
@@ -280,8 +311,7 @@ def _layout(sde: LinearSde, state: MomentState,
         M[:d, n - 1] = drive
         M[d, d + 1:2 * d + 1] = drive
         M[d + 1:2 * d + 1, d + 1:2 * d + 1] = -sde.A.T
-        return AugmentedSystem(formulation=formulation, n=n, d=d, u=None,
-                               mean_slice=None, _sde=sde, _columns=M)
+        return _system(formulation, sde, M, None, None)
 
     # M = [[calA, forcing], [0, flow]]; u seeds vec(P0), the constant 1 and
     # the last unit vector of C, whose flow carries m_t - m0
@@ -300,9 +330,7 @@ def _layout(sde: LinearSde, state: MomentState,
         u[:dd] = state.P0.ravel("F")
         u[dd] = 1.0
         u[n - 1] = 1.0
-        return AugmentedSystem(formulation=formulation, n=n, d=d, u=u,
-                               mean_slice=slice(dd + 1, dd + 1 + d), _sde=sde,
-                               _columns=columns)
+        return _system(formulation, sde, columns, u, slice(dd + 1, dd + 1 + d))
 
     # the mean flow appears twice, as a ramp s e^{C s} r and as e^{C s} r,
     # followed by s^2, s and 1
@@ -324,9 +352,16 @@ def _layout(sde: LinearSde, state: MomentState,
     u[:dd] = state.P0.ravel("F")
     u[dd + 2 * w - 1] = 1.0
     u[n - 1] = 1.0
-    return AugmentedSystem(formulation=formulation, n=n, d=d, u=u,
-                           mean_slice=slice(dd + w, dd + w + d), _sde=sde,
-                           _columns=columns)
+    return _system(formulation, sde, columns, u, slice(dd + w, dd + w + d))
+
+
+def _system(formulation: Formulation, sde: LinearSde, columns: np.ndarray,
+            u: np.ndarray | None, mean_slice: slice | None) -> AugmentedSystem:
+    for a in (columns, u):
+        if a is not None:
+            a.setflags(write=False)
+    return AugmentedSystem(formulation=formulation, n=columns.shape[0], d=sde.d,
+                           u=u, mean_slice=mean_slice, apply=_Product(sde, columns))
 
 
 def _overflow_error(sde: LinearSde) -> ExpmOverflowError:

@@ -70,11 +70,13 @@ def reference_grid(sde, state, step, n_steps, method, formulation=None):
     from its own e^{M k step} u (or e^{M k step}) and packaged by
     :func:`reference_make_result`. The action route applies M by the
     engine's own product, which test_structured_product_matches_dense_M
-    checks against M @ x."""
+    checks against M @ x, through a plain callable, so that it builds a
+    Krylov basis of its own rather than continue the one the engine keeps
+    on the system."""
     aug = assemble(sde, state, formulation)
     d = aug.d
     if method == "action":
-        points = list(expm_action(aug.apply, aug.u, step, n_steps))
+        points = list(expm_action(lambda x: aug.apply(x), aug.u, step, n_steps))
     else:
         E = expm(aug.M, step)
         points = [E if aug.u is None else E @ aug.u]

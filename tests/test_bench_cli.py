@@ -5,8 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
+import sdemoments.bench
 import sdemoments.moments
-from sdemoments import Formulation, classify, hilbert_systems, run_bench
+from sdemoments import (Formulation, classify, hilbert_systems, run_bench,
+                        serialize_model)
 from sdemoments.cli import main
 
 OU_DOC = {"d": 1, "m": 1, "t0": 0.0, "A": [[-1.0]], "a0": [0.0],
@@ -43,6 +45,22 @@ def test_run_bench_report_contents():
         assert row.max_rel_diff <= 1e-9
     table = report.format_table()
     assert "equation_class" in table and report.environment in table
+
+
+def test_run_bench_times_cold_evaluations(monkeypatch):
+    # assemble reuses the system of the last model it saw, so every timed
+    # moments_at call gets a model object of its own
+    models = []
+    moments_at = sdemoments.bench.moments_at
+
+    def recording(sde, state, t):
+        models.append(sde)
+        return moments_at(sde, state, t)
+
+    monkeypatch.setattr(sdemoments.bench, "moments_at", recording)
+    run_bench(dims=(1,), reps=5)
+    assert len(models) > 3 * 5
+    assert len({id(sde) for sde in models}) == len(models)
 
 
 def test_run_bench_csv_round_trip():
@@ -142,18 +160,44 @@ def test_cli_moments_overflow_is_a_computation_failure(tmp_path, capsys):
                      "a0": [0.0] * d, "B": [(1e160 * eye).tolist()],
                      "b0": [[0.0] * d], "m0": [1.0] * d,
                      "P0": np.ones((d, d)).tolist()})
+    cases = [(doc, "1.0") for doc in docs]
+    # at t = 1.7e308 the norm of M t overflows before expm counts squarings
+    cases.append(({"d": 1, "m": 1, "t0": 0.0, "A": [[-1.0]], "a0": [0.0],
+                   "B": [[[0.5]]], "b0": [[1.0]], "m0": [0.0], "P0": [[0.0]]},
+                  "1.7e308"))
     path = tmp_path / "overflow.json"
-    for doc in docs:
+    for doc, t in cases:
         path.write_text(json.dumps(doc))
         # a numpy RuntimeWarning would raise here instead of reaching stderr
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["moments", str(path), "--t", "1.0"]) == 1
+            assert main(["moments", str(path), "--t", t]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:") and "overflow" in err[0]
         if doc["d"] > 1:
             assert "1e+160" in err[0]
+
+
+def test_cli_moments_assembles_once_for_all_times(ou_file, tmp_path, monkeypatch,
+                                                  capsys):
+    # every time of one model file evaluates the one system assembled for it
+    layouts = []
+    layout = sdemoments.moments._layout
+
+    def counting(*args):
+        layouts.append(args[2])
+        return layout(*args)
+
+    monkeypatch.setattr(sdemoments.moments, "_layout", counting)
+    _, sde, state = hilbert_systems(11)[0]  # n = 150: the Krylov action
+    path = tmp_path / "hilbert.json"
+    path.write_text(serialize_model(sde, state))
+    for model in (str(path), ou_file):
+        assert main(["moments", model, "--t", "0.5,1,1.5,2,2.5"]) == 0
+        assert len(layouts) == 1
+        layouts.clear()
+    capsys.readouterr()
 
 
 def test_cli_usage_error():

@@ -122,6 +122,10 @@ def test_automatic_order_matches_scipy(monkeypatch):
 def test_overflow_raises():
     with pytest.raises(ExpmOverflowError):
         expm(np.array([[2000.0]]))
+    # ||a t||_1 itself overflows, so no count of squarings scales it
+    for a in ([[-2.0]], [[0.5, 1.0], [0.0, -2.0]]):
+        with pytest.raises(ExpmOverflowError, match="reduce t"):
+            expm(np.array(a), 1.7e308)
 
 
 def test_input_validation():
@@ -179,7 +183,8 @@ def test_action_full_basis_is_exact():
 
 def test_action_checkpoints_bound_inner_exponentials(monkeypatch):
     # n = 295 at t = 10 needs well over 60 basis vectors; exponentiating the
-    # projected matrix at every step would cost one inner expm per vector
+    # projected matrix at every step would cost one inner expm per vector,
+    # and the estimates' trend places six checkpoints (8, 10, 20, 40, 80, 84)
     sde, state = random_stable_model(np.random.default_rng(1), 16,
                                      "non_autonomous", m=1)
     aug = assemble(sde, state)
@@ -194,7 +199,7 @@ def test_action_checkpoints_bound_inner_exponentials(monkeypatch):
     got = expm_action(aug.M, aug.u, 10.0)
     want = scipy.linalg.expm(aug.M * 10.0) @ aug.u
     assert sizes[-1] >= 60
-    assert len(sizes) <= 12
+    assert len(sizes) <= 6
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -253,6 +258,73 @@ def test_action_input_validation():
         expm_action(a, np.ones(3), 1.0, 2.5)
 
 
+class _CountedProduct(expm_module._ResumableProduct):
+    """a @ x that keeps its Krylov basis and counts its products."""
+
+    def __init__(self, a):
+        self.a = a
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.a @ x
+
+
+def test_action_resumes_a_kept_basis():
+    # a kept basis gives what a new one gives, bit for bit, in any order of
+    # times and grids, and takes products only beyond the vectors it has
+    rng = np.random.default_rng(26)
+    n = 150
+    a = rng.uniform(-1.0, 1.0, (n, n)) / np.sqrt(n) - 0.3 * np.eye(n)
+    v, other = rng.uniform(-1.0, 1.0, (2, n))
+    calls = [(0.1, None), (10.0, None), (1.0, 8), (2.5, None), (0.5, 30)]
+    fresh = {call: expm_action(a, v, *call) for call in calls}
+    for order in (calls, calls[::-1], calls[1:] + calls[:1]):
+        product = _CountedProduct(a)
+        largest = 0
+        for call in order:
+            before = product.calls
+            np.testing.assert_array_equal(expm_action(product, v, *call),
+                                          fresh[call])
+            # growing from `largest` vectors costs one product per new vector
+            size = product._arnoldi.size
+            assert product.calls - before == max(size - largest, 0)
+            largest = max(largest, size)
+        # another start vector replaces the kept basis with its own
+        np.testing.assert_array_equal(expm_action(product, other, 1.0),
+                                      expm_action(a, other, 1.0))
+        np.testing.assert_array_equal(product._arnoldi.v, other)
+
+
+def test_action_on_a_kept_basis_after_failures():
+    # a basis left at its cap by ExpmConvergenceError, or short of a step
+    # by ExpmOverflowError, then serves later calls as a new basis would
+    rng = np.random.default_rng(23)
+    a = rng.uniform(-1.0, 1.0, (150, 150)) * 40.0
+    v = rng.uniform(-1.0, 1.0, 150)
+    product = _CountedProduct(a)
+    with pytest.raises(ExpmConvergenceError):
+        expm_action(product, v, 1.0)
+    assert product._arnoldi.size == expm_module._MAX_KRYLOV
+    for t, n_steps in ((0.05, None), (0.02, 3)):
+        np.testing.assert_array_equal(expm_action(product, v, t, n_steps),
+                                      expm_action(a, v, t, n_steps))
+
+    class Overflowing(_CountedProduct):
+        def __call__(self, x):  # finite for eleven products, then not
+            y = super().__call__(x)
+            return y if self.calls <= 11 else y * np.inf
+
+    b = rng.uniform(-1.0, 1.0, (40, 40)) * 2.0
+    w = rng.uniform(-1.0, 1.0, 40)
+    product = Overflowing(b)
+    with pytest.raises(ExpmOverflowError, match="Krylov product"):
+        expm_action(product, w, 5.0)
+    assert product._arnoldi.size == 11
+    np.testing.assert_array_equal(expm_action(product, w, 0.01),
+                                  expm_action(b, w, 0.01))
+
+
 def test_options_name_a_known_route():
     assert ExpmOptions(method="dense").method == "dense"
     assert ExpmOptions(method="action").method == "action"
@@ -263,14 +335,18 @@ def test_options_name_a_known_route():
 
 
 def _single_vector_action(a, v, t):
-    """The one-vector Arnoldi evaluation as it stood before grid steps."""
+    """The one-vector Arnoldi evaluation as one loop over a new basis, with
+    checkpoints at 8, 10 and then where log(estimate), extrapolated
+    linearly in m from the last two checkpoints, reaches the tolerance,
+    within [ceil(1.05 m), 2 m]."""
     n = a.shape[0]
     beta = np.linalg.norm(v)
+    tol = expm_module._KRYLOV_TOL
     cap = min(n, expm_module._MAX_KRYLOV)
     basis = np.zeros((cap + 1, n))
     h = np.zeros((cap + 1, cap))
     basis[0] = v / beta
-    checkpoint = 8
+    checkpoint, previous = 8, None
     for j in range(cap):
         w = a @ basis[j]
         q = basis[:j + 1]
@@ -285,9 +361,15 @@ def _single_vector_action(a, v, t):
         if breakdown or m == cap or m >= checkpoint:
             y = expm(h[:m, :m], t)[:, 0]
             estimate = t * h_next * abs(y[-1]) / np.linalg.norm(y)
-            if breakdown or m == n or estimate <= expm_module._KRYLOV_TOL:
+            if breakdown or m == n or estimate <= tol:
                 return beta * (y @ q)
-            checkpoint = math.ceil(1.25 * m)
+            if previous is None:
+                checkpoint = math.ceil(1.25 * m)
+            else:
+                slope = (np.log(estimate) - np.log(previous[1])) / (m - previous[0])
+                target = m + (np.log(tol) - np.log(estimate)) / slope if slope < 0 else np.inf
+                checkpoint = int(np.clip(np.ceil(target), math.ceil(1.05 * m), 2 * m))
+            previous = (m, estimate)
         basis[j + 1] = w / h_next
     raise ExpmConvergenceError("no convergence", residual=estimate)
 

@@ -1,7 +1,12 @@
 import dataclasses
+import gc
 import importlib
+import itertools
+import sys
 import tracemalloc
 import warnings
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -754,3 +759,160 @@ def test_action_grid_takes_one_krylov_basis(monkeypatch):
             assert got.t == want.t
             assert rel_diff(got.mean, want.mean, floor=1.0) < 1e-10
             assert rel_diff(got.secmom, want.secmom) < 1e-10
+
+
+DENSE, ACTION = ExpmOptions(method="dense"), ExpmOptions(method="action")
+
+
+def _evaluate(name, sde, state, options=None, formulation=None):
+    """One of the evaluations a fitting loop makes on a model: its results,
+    or the type of the error it raises."""
+    try:
+        if name == "grid":
+            return propagate_grid(sde, state, 0.5, 20, options, formulation)
+        tau = {"tau1": 1.0, "tau10": 10.0}[name]
+        return [moments_at(sde, state, sde.t0 + tau, options, formulation)]
+    except (ExpmError, ValueError) as exc:
+        return type(exc)
+
+
+def _assert_identical(got, want):
+    if isinstance(want, type):
+        assert got is want
+        return
+    for res, ref in zip(got, want, strict=True):
+        assert res.t == ref.t
+        for field in ("mean", "secmom", "variance"):
+            np.testing.assert_array_equal(getattr(res, field), getattr(ref, field))
+        assert res.symmetry_defect == ref.symmetry_defect
+        assert res.min_variance_eig == ref.min_variance_eig
+
+
+def _reuse_models(rng):
+    """d = 4 models of each class, and a d = 12 one the default route
+    evaluates by Krylov action."""
+    models = [random_stable_model(rng, 4, kind, m=1) for kind in CLASSES]
+    sde, state = random_stable_model(rng, 12, "non_autonomous", m=1)
+    models.append((dataclasses.replace(sde, B=sde.B / np.sqrt(12)), state))
+    return models
+
+
+def test_reused_system_gives_what_a_fresh_one_gives():
+    # assemble hands every evaluation of one model its one system, with the
+    # dense M or the Krylov basis earlier evaluations built; in any order of
+    # times and grids, on every route and formulation, each result is the
+    # one a fresh model object gives, bit for bit
+    names = ("tau1", "tau10", "grid")
+    for sde, state in _reuse_models(np.random.default_rng(65)):
+        assert assemble(sde, state) is assemble(sde, state)
+        assert (assemble(sde, state, Formulation.GENERAL)
+                is not assemble(dataclasses.replace(sde), state, Formulation.GENERAL))
+        for formulation in Formulation:
+            try:
+                assemble(sde, state, formulation)
+            except ValueError:
+                continue
+            for options in (None, DENSE, ACTION):
+                want = {name: _evaluate(name, dataclasses.replace(sde), state,
+                                        options, formulation) for name in names}
+                for order in itertools.permutations(names):
+                    model = dataclasses.replace(sde)
+                    for name in order:
+                        _assert_identical(
+                            _evaluate(name, model, state, options, formulation),
+                            want[name])
+
+
+def test_threads_keep_their_own_systems():
+    # two threads evaluating the same model objects at once each resume
+    # their own system, and get what a serial run gets
+    models = _reuse_models(np.random.default_rng(66))
+    names = ("tau1", "tau10", "grid")
+    want = {(i, name): _evaluate(name, dataclasses.replace(sde), state)
+            for i, (sde, state) in enumerate(models) for name in names}
+
+    def work(order):
+        got = []
+        for _ in range(3):
+            for i, (sde, state) in enumerate(models):
+                got += [((i, name), _evaluate(name, sde, state)) for name in order]
+        return got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(work, order)
+                       for order in itertools.permutations(names)]
+            results = [future.result(timeout=300) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        for key, res in got:
+            _assert_identical(res, want[key])
+
+
+def test_a_dropped_model_is_freed_without_the_collector():
+    # the thread's last system holds its model, Krylov basis and M without
+    # a reference cycle, so they go once another model is evaluated
+    rng = np.random.default_rng(67)
+    sde, state = random_stable_model(rng, 12, "non_autonomous", m=1)
+    other, other_state = random_stable_model(rng, 2, "autonomous_additive")
+    ref = weakref.ref(sde)
+    gc.disable()
+    try:
+        moments_at(sde, state, sde.t0 + 1.0)
+        moments_at(sde, state, sde.t0 + 1.0, ACTION)
+        propagate_grid(sde, state, 0.5, 4, DENSE)
+        del sde, state
+        assert ref() is not None
+        moments_at(other, other_state, other.t0 + 1.0)
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_reused_system_after_a_failure_gives_fresh_results():
+    # a basis left at its cap by ExpmConvergenceError, or an evaluation that
+    # raised ExpmOverflowError, leaves later results as a fresh model gives
+    rng = np.random.default_rng(1)
+    d = 12
+    A = rng.uniform(-1.0, 1.0, (d, d)) * 30.0
+    A -= (np.linalg.eigvals(A).real.max() + 0.5) * np.eye(d)
+    stiff = LinearSde(d=d, m=1, A=A, a0=np.ones(d), b0=np.ones((1, d)),
+                      B=rng.uniform(-1.0, 1.0, (1, d, d)) / np.sqrt(d))
+    stiff_state = random_state(rng, d)
+    with pytest.raises(ExpmConvergenceError):
+        moments_at(stiff, stiff_state, 1.0, ACTION)
+    for options, t in ((ACTION, 0.01), (None, 1.0), (ACTION, 0.005)):
+        _assert_identical([moments_at(stiff, stiff_state, t, options)],
+                          [moments_at(dataclasses.replace(stiff), stiff_state, t,
+                                      options)])
+    # at t = 1.7e308, ||M t||_1 overflows before expm can count squarings;
+    # e^{100 t} overflows the second moment at t = 4
+    state = MomentState(m0=[1.0], P0=[[1.0]])
+    for sde, t in ((LinearSde(d=1, m=1, A=[[-1.0]], a0=[0.0], B=[[[0.5]]],
+                              b0=[[1.0]]), 1.7e308),
+                   (LinearSde(d=1, m=1, A=[[100.0]], a0=[0.0], B=[[[0.1]]],
+                              b0=[[0.0]]), 6.0)):
+        for options in (None, ACTION):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ExpmOverflowError):
+                    moments_at(sde, state, t, options)
+            for tau in (0.5, 1.0):
+                _assert_identical(
+                    propagate_grid(sde, state, tau, 3, options),
+                    propagate_grid(dataclasses.replace(sde), state, tau, 3, options))
+
+
+def test_assembled_system_is_read_only():
+    # one system serves every evaluation of a model, so nothing may write to it
+    rng = np.random.default_rng(68)
+    for kind in CLASSES:
+        sde, state = random_stable_model(rng, 3, kind)
+        aug = assemble(sde, state)
+        arrays = [aug.apply.columns, aug.M] + ([] if aug.u is None else [aug.u])
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
