@@ -1,7 +1,8 @@
 """Dense matrix exponentials and exponential actions on vectors.
 
-The dense path is diagonal Pade approximation with norm-based scaling and
-squaring; the vector path is an Arnoldi projection onto a Krylov subspace.
+The dense path is the order-13 diagonal Pade approximant with norm-based
+scaling and squaring; the vector path is an Arnoldi projection onto a
+Krylov subspace.
 """
 
 from __future__ import annotations
@@ -22,31 +23,16 @@ __all__ = [
     "expm_action",
 ]
 
-#: diagonal Pade orders and the largest 1-norm each approximates to double
-#: precision (Higham, SIMAX 2005); larger norms are scaled down for order 13
-_THETA = {
-    3: 1.495585217958292e-2,
-    5: 2.539398330063230e-1,
-    7: 9.504178996162932e-1,
-    9: 2.097847961257068,
-    13: 5.371920351148152,
-}
+#: largest 1-norm that the order-13 diagonal Pade approximant takes to
+#: double precision (Higham, SIMAX 2005); larger norms are scaled down to it
+_THETA_13 = 5.371920351148152
 
-_PADE_COEFFS = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (
-        17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0,
-    ),
-    13: (
-        64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-        1187353796428800.0, 129060195264000.0, 10559470521600.0,
-        670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-        960960.0, 16380.0, 182.0, 1.0,
-    ),
-}
+_PADE_COEFFS = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+    960960.0, 16380.0, 182.0, 1.0,
+)
 
 #: Krylov stops once its a posteriori relative error estimate is at most this
 _KRYLOV_TOL = 1e-12
@@ -111,46 +97,27 @@ def _as_square(a, name: str = "a") -> np.ndarray:
     return a
 
 
-def _pade_uv(a: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    c = _PADE_COEFFS[order]
-    n = a.shape[0]
-    eye = np.eye(n)
+def _pade_uv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Odd and even parts u, v of the order-13 Pade numerator at a."""
+    c = _PADE_COEFFS
+    eye = np.eye(a.shape[0])
     a2 = a @ a
-    if order == 3:
-        u = a @ (c[3] * a2 + c[1] * eye)
-        v = c[2] * a2 + c[0] * eye
-    elif order == 5:
-        a4 = a2 @ a2
-        u = a @ (c[5] * a4 + c[3] * a2 + c[1] * eye)
-        v = c[4] * a4 + c[2] * a2 + c[0] * eye
-    elif order == 7:
-        a4 = a2 @ a2
-        a6 = a2 @ a4
-        u = a @ (c[7] * a6 + c[5] * a4 + c[3] * a2 + c[1] * eye)
-        v = c[6] * a6 + c[4] * a4 + c[2] * a2 + c[0] * eye
-    elif order == 9:
-        a4 = a2 @ a2
-        a6 = a2 @ a4
-        a8 = a4 @ a4
-        u = a @ (c[9] * a8 + c[7] * a6 + c[5] * a4 + c[3] * a2 + c[1] * eye)
-        v = c[8] * a8 + c[6] * a6 + c[4] * a4 + c[2] * a2 + c[0] * eye
-    else:
-        a4 = a2 @ a2
-        a6 = a2 @ a4
-        u = a @ (a6 @ (c[13] * a6 + c[11] * a4 + c[9] * a2)
-                 + c[7] * a6 + c[5] * a4 + c[3] * a2 + c[1] * eye)
-        v = (a6 @ (c[12] * a6 + c[10] * a4 + c[8] * a2)
-             + c[6] * a6 + c[4] * a4 + c[2] * a2 + c[0] * eye)
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (c[13] * a6 + c[11] * a4 + c[9] * a2)
+             + c[7] * a6 + c[5] * a4 + c[3] * a2 + c[1] * eye)
+    v = (a6 @ (c[12] * a6 + c[10] * a4 + c[8] * a2)
+         + c[6] * a6 + c[4] * a4 + c[2] * a2 + c[0] * eye)
     return u, v
 
 
 def expm(a, t: float = 1.0) -> np.ndarray:
     """Dense matrix exponential e^(a*t).
 
-    The diagonal Pade order is the smallest of 3, 5, 7, 9 whose threshold
-    in ``_THETA`` covers ||a t||_1; beyond those, order 13 is used after
-    scaling by 2^-s with the fewest squarings s that bring the norm under
-    its threshold (Higham's scaling and squaring, SIMAX 2005).
+    The order-13 diagonal Pade approximant, which reaches double precision
+    for ||a t||_1 <= 5.37 (Higham's scaling and squaring, SIMAX 2005); a
+    larger norm is first scaled by 2^-s with the fewest squarings s that
+    bring it under that bound, and the result squared s times.
 
     Parameters
     ----------
@@ -181,13 +148,11 @@ def expm(a, t: float = 1.0) -> np.ndarray:
     if norm == 0.0:
         result = np.eye(b.shape[0])
     else:
-        order = min((m for m, theta in _THETA.items() if norm <= theta),
-                    default=13)
         squarings = 0
-        if norm > _THETA[13]:
-            squarings = int(math.ceil(math.log2(norm / _THETA[13])))
+        if norm > _THETA_13:
+            squarings = int(math.ceil(math.log2(norm / _THETA_13)))
             b = b / (2.0 ** squarings)
-        u, v = _pade_uv(b, order)
+        u, v = _pade_uv(b)
         try:
             result = np.linalg.solve(v - u, v + u)
         except np.linalg.LinAlgError as exc:

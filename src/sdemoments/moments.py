@@ -120,21 +120,11 @@ class AugmentedSystem:
 
     @cached_property
     def M(self) -> np.ndarray:
-        """The dense n x n augmented matrix, built on first use.
+        """The dense n x n augmented matrix, built on first use and kept.
 
         Raises :class:`ExpmOverflowError` if some entry is not finite.
         """
-        sde, columns = self.apply.sde, self.apply.columns
-        dd = self.n - columns.shape[1]  # the vec(P) rows: d^2, or 0 if additive
-        M = columns
-        if dd:
-            M = np.zeros((self.n, self.n))
-            M[:dd, :dd] = build_calA(sde)
-            M[:, dd:] = columns
-            M.setflags(write=False)
-        if not np.isfinite(M).all():
-            raise _overflow_error(sde)
-        return M
+        return _dense_M(self)
 
 
 @dataclass(frozen=True)
@@ -275,11 +265,16 @@ def assemble(sde: LinearSde, state: MomentState,
     ValueError
         If the requested formulation is narrower than the model's, or the
         state dimension disagrees with the model.
+    TypeError
+        If ``formulation`` is neither a :class:`Formulation` nor None.
     """
     _check_dimension(sde, state)
     narrowest = classify(sde)
     if formulation is None:
         formulation = narrowest
+    if not isinstance(formulation, Formulation):
+        raise TypeError(f"formulation must be a Formulation or None, "
+                        f"got {formulation!r}")
     order = list(Formulation)  # widest first
     if order.index(formulation) > order.index(narrowest):
         raise ValueError(f"formulation {formulation.name} does not cover this "
@@ -355,6 +350,21 @@ def _layout(sde: LinearSde, state: MomentState,
     return _system(formulation, sde, columns, u, slice(dd + w, dd + w + d))
 
 
+def _dense_M(aug: AugmentedSystem) -> np.ndarray:
+    """The dense M of ``aug``, read-only, built anew on each call."""
+    sde, columns = aug.apply.sde, aug.apply.columns
+    dd = aug.n - columns.shape[1]  # the vec(P) rows: d^2, or 0 if additive
+    M = columns
+    if dd:
+        M = np.zeros((aug.n, aug.n))
+        M[:dd, :dd] = build_calA(sde)
+        M[:, dd:] = columns
+        M.setflags(write=False)
+    if not np.isfinite(M).all():
+        raise _overflow_error(sde)
+    return M
+
+
 def _system(formulation: Formulation, sde: LinearSde, columns: np.ndarray,
             u: np.ndarray | None, mean_slice: slice | None) -> AugmentedSystem:
     for a in (columns, u):
@@ -389,6 +399,8 @@ def _elapsed(sde: LinearSde, t: float) -> float:
 def _wants_action(aug: AugmentedSystem, options: ExpmOptions | None) -> bool:
     if options is None:
         return aug.formulation is not Formulation.ADDITIVE and aug.n > _DENSE_LIMIT
+    if not isinstance(options, ExpmOptions):
+        raise TypeError(f"options must be an ExpmOptions or None, got {options!r}")
     if options.method == "action" and aug.formulation is Formulation.ADDITIVE:
         raise ValueError(
             "expm-action is unavailable for the additive formulation: "
@@ -431,7 +443,8 @@ def _propagate(aug: AugmentedSystem, state: MomentState, step: float,
                options: ExpmOptions | None) -> list[MomentResult]:
     """Moments labelled times[k - 1] after k steps of one exponential e^{M step}."""
     rows = None  # row k - 1: e^{M k step} u, or e^{M k step} if additive
-    if _wants_action(aug, options):
+    action = _wants_action(aug, options)
+    if action:
         try:
             rows = expm_action(aug.apply, aug.u, step, len(times))
         except ExpmConvergenceError:
@@ -443,7 +456,8 @@ def _propagate(aug: AugmentedSystem, state: MomentState, step: float,
     # reports that as ExpmOverflowError, so numpy's warning is silenced
     with np.errstate(over="ignore", invalid="ignore"):
         if rows is None:
-            E = expm(aug.M, step)
+            # the fallback leaves M unkept: the kept system holds the basis
+            E = expm(_dense_M(aug) if action else aug.M, step)
             rows = [E if aug.u is None else E @ aug.u]
             for _ in times[1:]:
                 rows.append(E @ rows[-1])
@@ -468,6 +482,9 @@ def moments_at(sde: LinearSde, state: MomentState, t: float,
     ------
     ValueError
         t < t0, or an invalid formulation/method combination.
+    TypeError
+        ``options`` is not an :class:`ExpmOptions`, or ``formulation`` not a
+        :class:`Formulation`, and not None.
     ExpmError
         Propagated from the exponential evaluation, or raised by the
         additive formulation when cancellation would cost more than 1e-6

@@ -94,6 +94,7 @@ class McConfig:
     def __post_init__(self):
         _check_count(self.n_paths, "n_paths", 2)
         _check_count(self.n_steps, "n_steps", 1)
+        _check_count(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,8 @@ def test_scalar_exact():
 def test_zero_time_is_identity():
     a = np.random.default_rng(11).standard_normal((6, 6))
     np.testing.assert_array_equal(expm(a, 0.0), np.eye(6))
+    for n in (1, 5):
+        np.testing.assert_array_equal(expm(np.zeros((n, n))), np.eye(n))
 
 
 def test_semigroup():
@@ -93,30 +95,37 @@ def test_block_triangular_zeros_preserved():
         assert np.abs(E[p:, :p]).max() <= 1e-13 * np.abs(E).max()
 
 
-def test_automatic_order_matches_scipy(monkeypatch):
-    # one norm inside each Pade bracket, then each threshold from both sides
-    orders = []
+def test_one_approximant_matches_scipy(monkeypatch):
+    # one norm inside each bracket between the bounds of Higham's orders 3, 5,
+    # 7 and 9, each of those bounds and theta_13 from both sides: the order-13
+    # approximant meets scipy at every norm and sees at most theta_13, scaled
+    # with the fewest squarings
+    arguments = []
     pade_uv = expm_module._pade_uv
 
-    def recording(b, order):
-        orders.append(order)
-        return pade_uv(b, order)
+    def recording(b):
+        arguments.append(b)
+        return pade_uv(b)
 
     monkeypatch.setattr(expm_module, "_pade_uv", recording)
-    thetas = expm_module._THETA
+    theta = expm_module._THETA_13
     base = np.random.default_rng(17).uniform(-1.0, 1.0, (6, 6))
     base /= np.linalg.norm(base, 1)
-    cases = [(1e-2, 3), (0.1, 5), (0.5, 7), (1.5, 9), (4.0, 13), (50.0, 13)]
-    for below, above in zip(thetas, list(thetas)[1:] + [13]):
-        cases += [(thetas[below] * (1 - 1e-9), below),
-                  (thetas[below] * (1 + 1e-9), above)]
-    for norm, order in cases:
+    norms = [1e-3, 1e-2, 0.1, 0.5, 1.5, 4.0, 50.0]
+    for bound in (1.495585217958292e-2, 2.539398330063230e-1,
+                  9.504178996162932e-1, 2.097847961257068, theta):
+        norms += [bound * (1 - 1e-9), bound * (1 + 1e-9)]
+    for norm in norms:
         for t in (1.0, -1.0):
             a = base * norm
             ref = scipy.linalg.expm(a * t)
             np.testing.assert_allclose(expm(a, t), ref, rtol=1e-12,
                                        atol=1e-12 * np.abs(ref).max())
-            assert orders.pop() == order, (norm, order)
+            b = arguments.pop()
+            assert not arguments
+            assert np.linalg.norm(b, 1) <= theta, norm
+            if np.linalg.norm(a * t, 1) > theta:  # a squaring was taken
+                assert np.linalg.norm(b, 1) > theta / 2, norm
 
 
 def test_overflow_raises():

@@ -67,6 +67,8 @@ def test_counts_reject_bools():
          ValueError, "n_steps must be an integer >= 1, got True"),
         (lambda: McConfig(n_paths=10, n_steps=True, seed=0),
          ValueError, "n_steps must be an integer >= 1, got True"),
+        (lambda: McConfig(n_paths=10, n_steps=2, seed=True),
+         ValueError, "seed must be an integer >= 0, got True"),
         (lambda: run_bench(dims=(1,), reps=True),
          ValueError, "reps must be an integer >= 5, got True"),
     ]

@@ -309,6 +309,14 @@ def test_assemble_formulation_validation():
                 with pytest.raises(ValueError, match=f"{formulation.name} .* "
                                                      f"narrowest is {narrowest.name}"):
                     assemble(sde, state, formulation)
+    # a formulation or route named by a string is no Formulation or ExpmOptions
+    t = sde.t0 + 1.0
+    with pytest.raises(TypeError, match="must be a Formulation or None"):
+        moments_at(sde, state, t, formulation="general")
+    for call in (lambda: moments_at(sde, state, t, options="action"),
+                 lambda: propagate_grid(sde, state, 0.5, 2, options="action")):
+        with pytest.raises(TypeError, match="must be an ExpmOptions or None"):
+            call()
 
 
 def test_state_dimension_mismatch_raises_one_error():
@@ -728,9 +736,13 @@ def test_default_route_falls_back_to_dense_where_krylov_fails():
     with pytest.raises(ExpmConvergenceError):
         propagate_grid(sde, state, 1.0, 2, options=action)
     got = moments_at(sde, state, 1.0)
+    grid = propagate_grid(sde, state, 1.0, 2)
+    # the kept system holds the capped basis, not the fallback's M beside
+    # it, and serves the same grid again as before
+    assert "M" not in vars(assemble(sde, state))
+    _assert_identical(propagate_grid(sde, state, 1.0, 2), grid)
     want = moments_at(sde, state, 1.0, options=dense)
     np.testing.assert_array_equal(got.secmom, want.secmom)
-    grid = propagate_grid(sde, state, 1.0, 2)
     grid_dense = propagate_grid(sde, state, 1.0, 2, options=dense)
     for got, want in zip(grid, grid_dense):
         np.testing.assert_array_equal(got.secmom, want.secmom)

@@ -275,6 +275,10 @@ def test_mc_config_validation():
         McConfig(n_paths=10.5, n_steps=10, seed=0)
     with pytest.raises(ValueError, match="integer"):
         McConfig(n_paths=10, n_steps=2.5, seed=0)
+    # a seed numpy's SeedSequence would refuse is refused at construction
+    for seed in (1.5, -1):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            McConfig(n_paths=10, n_steps=2, seed=seed)
 
 
 def test_mc_rejects_past_times():
