@@ -3,8 +3,10 @@
 Both moments of dx = (Ax + a(t))dt + sum_i (B_i x + b_i(t))dw^i solve
 linear ODEs, so one block matrix M can carry vec(P_t), the mean flow,
 and the forcing polynomial together: everything is read off e^{M tau}.
-The block layout (and its size) depends on how much structure the
-model has.
+Additive noise needs only the state z = [x; 1] and its adjoint: the
+blocks of e^{M h} for a short step h, squared up to tau, give the mean
+and second moment. The block layout (and its size) depends on how much
+structure the model has.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from sdemoments import (Formulation, assemble, classify, hilbert_systems,
 def blocks(formulation: Formulation, d: int) -> list[tuple[str, int]]:
     """Names and sizes of the diagonal blocks of M, in order."""
     if formulation is Formulation.ADDITIVE:
-        return [("state", d), ("one", 1), ("adjoint", d), ("shift", 1)]
+        return [("state", d), ("one", 1), ("adjoint", d + 1)]
     if formulation is Formulation.AUTONOMOUS:
         return [("secmom", d * d), ("one", 1), ("mean_flow", d + 1)]
     return [("secmom", d * d), ("mean_ramp", d + 2), ("mean_flow", d + 2),

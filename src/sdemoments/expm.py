@@ -111,6 +111,16 @@ def _pade_uv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
+def _squarings(norm: float) -> int:
+    """Fewest squarings s with 2^-s ``norm`` <= _THETA_13, for the 1-norm of
+    a t; raises :class:`ExpmOverflowError` if that norm is not finite."""
+    if not math.isfinite(norm):
+        raise ExpmOverflowError(
+            "the norm of the scaled matrix a t overflows double precision, "
+            "so it cannot be scaled for squaring; reduce t or rescale the problem")
+    return int(math.ceil(math.log2(norm / _THETA_13))) if norm > _THETA_13 else 0
+
+
 def expm(a, t: float = 1.0) -> np.ndarray:
     """Dense matrix exponential e^(a*t).
 
@@ -141,16 +151,11 @@ def expm(a, t: float = 1.0) -> np.ndarray:
     with np.errstate(over="ignore"):
         b = a * t
     norm = np.linalg.norm(b, 1)
-    if not math.isfinite(norm):
-        raise ExpmOverflowError(
-            "the norm of the scaled matrix a t overflows double precision, "
-            "so it cannot be scaled for squaring; reduce t or rescale the problem")
+    squarings = _squarings(norm)
     if norm == 0.0:
         result = np.eye(b.shape[0])
     else:
-        squarings = 0
-        if norm > _THETA_13:
-            squarings = int(math.ceil(math.log2(norm / _THETA_13)))
+        if squarings:
             b = b / (2.0 ** squarings)
         u, v = _pade_uv(b)
         try:
@@ -350,8 +355,13 @@ def expm_action(a, v, t: float = 1.0, n_steps: int | None = None) -> np.ndarray:
             while len(y) < (n_steps or 1):
                 y, power = np.vstack([y, y @ power.T])[:n_steps], power @ power
             overflow = not np.all(np.isfinite(y))  # no larger basis undoes it
-            # each row's norm by one dot, as np.linalg.norm forms a vector's
+            # each row's norm by one dot, as np.linalg.norm forms a vector's;
+            # where its squares overflow or underflow, rescaled as by _norm
             norms = np.sqrt(np.matmul(y[:, None], y[:, :, None]).ravel())
+            bad = np.isinf(norms) | (norms == 0.0)
+            if bad.any():
+                scale = np.abs(y[bad]).max(axis=1)
+                norms[bad] = scale * np.linalg.norm(y[bad] / scale[:, None], axis=1)
             # the estimate for horizon k t; np.max keeps a nan from overflow
             estimate = np.max(np.arange(1, len(y) + 1) * t * h_next
                               * np.abs(y[:, -1]) / norms)

@@ -3,8 +3,8 @@
 Everything here reduces to one augmented block matrix M and one vector u
 such that e^{M (t - t0)} u carries vec(P_t) and the mean increment
 m_t - m0 simultaneously, laid out as a :class:`~sdemoments.model.Formulation`
-names. The additive formulation reads matrix blocks of e^{M h} instead of
-propagating a vector.
+names. The additive formulation instead squares the pair of matrix blocks
+that e^{M h} holds for a short step h.
 
 :func:`moments_baseline` recomputes the same moments the classical way,
 from seven separate exponentials of Van Loan block matrices, and exists
@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .expm import (ExpmConvergenceError, ExpmError, ExpmOptions,
-                   ExpmOverflowError, _ResumableProduct, expm, expm_action)
+from .expm import (ExpmConvergenceError, ExpmOptions, ExpmOverflowError,
+                   _ResumableProduct, _squarings, expm, expm_action)
 from .model import Formulation, LinearSde, MomentState, _check_count, classify
 
 __all__ = [
@@ -37,9 +37,6 @@ __all__ = [
 #: the Krylov path; demos/krylov_crossover.py measures both routes on either
 #: side of it
 _DENSE_LIMIT = 120
-
-#: largest predicted relative error the additive formulation may return
-_ADDITIVE_MAX_ERROR = 1e-6
 
 #: per thread, the last system assemble built, as (sde, state, system)
 _last = threading.local()
@@ -107,8 +104,9 @@ class AugmentedSystem:
 
     ``mean_slice`` indexes the propagated vector e^{M h} u, whose first
     d^2 entries are vec(P) (pure selectors, never materialized as
-    matrices). The additive formulation has ``u = None``: its moments are
-    read off matrix blocks of e^{M h} directly.
+    matrices). The additive formulation has ``u = None``: its M is Van
+    Loan's [[At, St], [0, -At^T]] for z = [x; 1], with At = [[A, a0], [0, 0]]
+    and St = diag(b0^T b0, 0), and takes nothing from the initial state.
     """
 
     formulation: Formulation
@@ -149,16 +147,18 @@ def make_result(times: list[float], means: np.ndarray,
     """Symmetrized MomentResults, as read-only row views, of raw moment stacks.
 
     Row k of ``means`` and ``secmoms_raw`` belongs to ``times[k]``. Raises
-    :class:`ExpmOverflowError` naming the first time with a non-finite moment.
+    :class:`ExpmOverflowError` naming the first time with a non-finite mean
+    or variance, which a non-finite second moment makes non-finite too.
     """
-    finite = np.isfinite(means).all(axis=1) & np.isfinite(secmoms_raw).all(axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        defects = np.abs(secmoms_raw - secmoms_raw.transpose(0, 2, 1)).max(axis=(1, 2))
+        secmoms = (secmoms_raw + secmoms_raw.transpose(0, 2, 1)) / 2.0
+        variances = secmoms - means[:, :, None] * means[:, None, :]
+    finite = np.isfinite(means).all(axis=1) & np.isfinite(variances).all(axis=(1, 2))
     if not finite.all():
         raise ExpmOverflowError(
             f"moments at t = {float(times[finite.argmin()]):g} overflow double "
             f"precision; rescale the problem or reduce t")
-    defects = np.abs(secmoms_raw - secmoms_raw.transpose(0, 2, 1)).max(axis=(1, 2))
-    secmoms = (secmoms_raw + secmoms_raw.transpose(0, 2, 1)) / 2.0
-    variances = secmoms - means[:, :, None] * means[:, None, :]
     min_eigs = np.linalg.eigvalsh(variances).min(axis=1)
     for a in (means, secmoms, variances):
         a.setflags(write=False)
@@ -297,15 +297,12 @@ def _layout(sde: LinearSde, state: MomentState,
     dd = d * d
 
     if formulation is Formulation.ADDITIVE:
-        n = 2 * d + 2
-        drive = sde.A @ state.m0 + sde.a0
-        M = np.zeros((n, n))
+        w = d + 1  # z = [x; 1]
+        M = np.zeros((2 * w, 2 * w))
         M[:d, :d] = sde.A
         M[:d, d] = sde.a0
-        M[:d, d + 1:2 * d + 1] = np.outer(sde.a0, state.m0) + 0.5 * (sde.b0.T @ sde.b0)
-        M[:d, n - 1] = drive
-        M[d, d + 1:2 * d + 1] = drive
-        M[d + 1:2 * d + 1, d + 1:2 * d + 1] = -sde.A.T
+        M[:d, w:w + d] = sde.b0.T @ sde.b0
+        M[w:, w:] = -M[:w, :w].T
         return _system(formulation, sde, M, None, None)
 
     # M = [[calA, forcing], [0, flow]]; u seeds vec(P0), the constant 1 and
@@ -404,45 +401,16 @@ def _wants_action(aug: AugmentedSystem, options: ExpmOptions | None) -> bool:
     if options.method == "action" and aug.formulation is Formulation.ADDITIVE:
         raise ValueError(
             "expm-action is unavailable for the additive formulation: "
-            "it extracts matrix blocks, not a propagated vector")
+            "it squares a pair of matrix blocks, not a propagated vector")
     return options.method == "action"
-
-
-def _additive_extract(aug: AugmentedSystem, state: MomentState,
-                      E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d = aug.d
-    F1 = E[:, :d, :d]
-    H1 = E[:, :d, d + 1:2 * d + 1]
-    # H1 grows like the adjoint block e^{-A^T tau} and H1 F1^T cancels that
-    # growth, so rounding is amplified by about ||F1||_1 ||e^{-A^T tau}||_1
-    adjoint = E[:, d + 1:2 * d + 1, d + 1:2 * d + 1]
-    error = (np.linalg.norm(F1, 1, axis=(1, 2))
-             * np.linalg.norm(adjoint, 1, axis=(1, 2)) * np.finfo(float).eps)
-    bad = error > _ADDITIVE_MAX_ERROR
-    if bad.any():
-        raise ExpmError(
-            f"additive formulation cancels catastrophically at this horizon "
-            f"(predicted relative error {error[bad.argmax()]:.1e}); "
-            f"use formulation=Formulation.AUTONOMOUS")
-    mean = state.m0 + E[:, :d, -1]
-    F1T = F1.transpose(0, 2, 1)
-    secmom = F1 @ state.P0 @ F1T + H1 @ F1T + F1 @ H1.transpose(0, 2, 1)
-    return mean, secmom
-
-
-def _vector_extract(aug: AugmentedSystem, state: MomentState,
-                    v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = state.m0 + v[:, aug.mean_slice]
-    # vec(P) stacks the columns of P, so each row reshapes to P^T
-    secmom = v[:, :aug.d ** 2].reshape(-1, aug.d, aug.d).transpose(0, 2, 1)
-    return mean, secmom
 
 
 def _propagate(aug: AugmentedSystem, state: MomentState, step: float,
                times: list[float],
                options: ExpmOptions | None) -> list[MomentResult]:
     """Moments labelled times[k - 1] after k steps of one exponential e^{M step}."""
-    rows = None  # row k - 1: e^{M k step} u, or e^{M k step} if additive
+    d = aug.d
+    rows = None  # row k - 1: e^{M k step} u
     action = _wants_action(aug, options)
     if action:
         try:
@@ -451,18 +419,38 @@ def _propagate(aug: AugmentedSystem, state: MomentState, step: float,
             # a route chosen by size alone is no promise of convergence
             if options is not None:
                 raise
-    extract = _additive_extract if aug.u is None else _vector_extract
     # products of a finite exponential may still overflow; make_result
     # reports that as ExpmOverflowError, so numpy's warning is silenced
     with np.errstate(over="ignore", invalid="ignore"):
-        if rows is None:
-            # the fallback leaves M unkept: the kept system holds the basis
-            E = expm(_dense_M(aug) if action else aug.M, step)
-            rows = [E if aug.u is None else E @ aug.u]
-            for _ in times[1:]:
-                rows.append(E @ rows[-1])
-        means, secmoms = extract(aug, state, np.asarray(rows))
-        return make_result(times, means, secmoms)
+        if aug.u is None:
+            # e^{M h}, h = step / 2^s with expm's squarings s, holds F = e^{At h}
+            # and the noise integral Q = E12 F^T (Van Loan, IEEE TAC 1978); the
+            # doublings add PSD terms and never form e^{-At^T step}, which grows
+            s = _squarings(np.linalg.norm(aug.M * step, 1))
+            E = expm(aug.M, math.ldexp(step, -s))
+            F = E[:d + 1, :d + 1]
+            Q = E[:d + 1, d + 1:] @ F.T
+            for _ in range(s):
+                Q, F = Q + F @ Q @ F.T, F @ F
+            ez = np.append(state.m0, 1.0)  # E[z]
+            zz = np.outer(ez, ez)  # E[z z^T] at t0, once P0 is in place
+            zz[:d, :d] = state.P0
+            zzs = np.empty((len(times), d + 1, d + 1))
+            for k in range(len(times)):
+                zz = zzs[k] = F @ zz @ F.T + Q
+            means, secmoms = zzs[:, :d, d], zzs[:, :d, :d]
+        else:
+            if rows is None:
+                # the fallback leaves M unkept: the kept system holds the basis
+                E = expm(_dense_M(aug) if action else aug.M, step)
+                rows = [E @ aug.u]
+                for _ in times[1:]:
+                    rows.append(E @ rows[-1])
+            v = np.asarray(rows)
+            means = state.m0 + v[:, aug.mean_slice]
+            # vec(P) stacks the columns of P, so each row reshapes to P^T
+            secmoms = v[:, :d * d].reshape(-1, d, d).transpose(0, 2, 1)
+    return make_result(times, means, secmoms)
 
 
 def moments_at(sde: LinearSde, state: MomentState, t: float,
@@ -473,10 +461,11 @@ def moments_at(sde: LinearSde, state: MomentState, t: float,
     One matrix exponential of the assembled augmented system yields the
     mean and vec(P_t) together. With ``options=None`` the dense route is
     used up to n = 120 and the Krylov action route beyond, where it is
-    faster (the additive formulation is always dense); should Krylov not
-    converge within its basis cap, the dense route gives the result.
-    Passing :class:`ExpmOptions` forces the route it names. This is the
-    one-step case of :func:`propagate_grid`, with the time label t.
+    faster; should Krylov not converge within its basis cap, the dense
+    route gives the result. The additive formulation is always dense and
+    squares the transition and noise integral of the short step that expm
+    would scale to. Passing :class:`ExpmOptions` forces the route it names.
+    This is the one-step case of :func:`propagate_grid`, with the time label t.
 
     Raises
     ------
@@ -486,10 +475,8 @@ def moments_at(sde: LinearSde, state: MomentState, t: float,
         ``options`` is not an :class:`ExpmOptions`, or ``formulation`` not a
         :class:`Formulation`, and not None.
     ExpmError
-        Propagated from the exponential evaluation, or raised by the
-        additive formulation when cancellation would cost more than 1e-6
-        relative accuracy; ``formulation=Formulation.AUTONOMOUS`` then
-        gives the moments.
+        Propagated from the exponential evaluation, or
+        :class:`ExpmOverflowError` for moments that overflow.
     """
     tau = _elapsed(sde, t)
     aug = assemble(sde, state, formulation)
@@ -504,15 +491,15 @@ def propagate_grid(sde: LinearSde, state: MomentState, step: float,
 
     Exploits the exponential flow property: the dense route computes
     e^{M step} once and advances the augmented state by repeated
-    multiplication, the action route takes every step in one Krylov basis,
-    so the whole grid costs a single exponential. Results accumulate
-    rounding of order n_steps * eps relative to per-time direct
-    evaluation. ``options`` and ``formulation`` act as in
-    :func:`moments_at`, with the same limit n = 120. The Krylov basis must
-    converge at the last grid time, n_steps * step after t0, or the named
-    action route raises :class:`ExpmConvergenceError`. The additive
-    formulation raises :class:`ExpmError` at the first grid time where
-    :func:`moments_at` would.
+    multiplication, the additive formulation advances E[z z^T] by the
+    transition F and noise integral Q of one step as F E[z z^T] F^T + Q,
+    and the action route takes every step in one Krylov basis, so the
+    whole grid costs a single exponential. Results accumulate rounding of
+    order n_steps * eps relative to per-time direct evaluation. ``options``
+    and ``formulation`` act as in :func:`moments_at`, with the same limit
+    n = 120. The Krylov basis must converge at the last grid time,
+    n_steps * step after t0, or the named action route raises
+    :class:`ExpmConvergenceError`.
     """
     if not (step > 0.0 and np.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step!r}")

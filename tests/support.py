@@ -1,9 +1,13 @@
 """Shared helpers for the test suite."""
 
+import math
+
 import numpy as np
+import scipy.linalg
 
 from sdemoments import (ExpmOverflowError, LinearSde, MomentResult, MomentState,
                         assemble, expm, expm_action)
+from sdemoments.expm import _squarings
 
 CLASSES = ("non_autonomous", "autonomous_multiplicative", "autonomous_additive")
 
@@ -65,10 +69,45 @@ def reference_make_result(t, mean, secmom_raw):
                         symmetry_defect=defect, min_variance_eig=min_eig)
 
 
+def ito_closure_moments(sde, state, tau):
+    """Mean and second moment of an autonomous model at t0 + tau, from
+    scipy's exponential of the Ito closure of z = (vec P, m, 1).
+
+    The generator is read off column by column from the moment equations
+
+        dm/dt = A m + a0
+        dP/dt = A P + P A^T + a0 m^T + m a0^T
+                + sum_i (B_i P B_i^T + B_i m b_i^T + b_i m^T B_i^T + b_i b_i^T)
+
+    with b_i = b_{i,0}, written directly rather than from the engine.
+    """
+    if sde.a1.any() or sde.b1.any():
+        raise ValueError("the closure covers autonomous models only")
+    d = sde.d
+    dd = d * d
+
+    def rhs(z):
+        P, m, one = z[:dd].reshape(d, d, order="F"), z[dd:dd + d], z[-1]
+        am = np.outer(sde.a0, m)
+        dP = sde.A @ P + P @ sde.A.T + am + am.T
+        for B, b in zip(sde.B, sde.b0):
+            bm = np.outer(B @ m, b)
+            dP = dP + B @ P @ B.T + bm + bm.T + np.outer(b, b) * one
+        return np.concatenate([dP.ravel("F"), sde.A @ m + sde.a0 * one, [0.0]])
+
+    G = np.column_stack([rhs(e) for e in np.eye(dd + d + 1)])
+    z = scipy.linalg.expm(G * tau) @ np.concatenate(
+        [state.P0.ravel("F"), state.m0, [1.0]])
+    return z[dd:dd + d], z[:dd].reshape(d, d, order="F")
+
+
 def reference_grid(sde, state, step, n_steps, method, formulation=None):
     """propagate_grid one point at a time: each grid point is extracted
-    from its own e^{M k step} u (or e^{M k step}) and packaged by
-    :func:`reference_make_result`. The action route applies M by the
+    from its own e^{M k step} u, or on the additive formulation from its
+    own E[z z^T] for z = [x; 1], and packaged by
+    :func:`reference_make_result`. The additive step's transition F and
+    noise integral Q come from M's exponential at step / 2^s, with expm's
+    squarings s for M step, by doubling. The action route applies M by the
     engine's own product, which test_structured_product_matches_dense_M
     checks against M @ x, through a plain callable, so that it builds a
     Krylov basis of its own rather than continue the one the engine keeps
@@ -77,17 +116,28 @@ def reference_grid(sde, state, step, n_steps, method, formulation=None):
     d = aug.d
     if method == "action":
         points = list(expm_action(lambda x: aug.apply(x), aug.u, step, n_steps))
+    elif aug.u is None:
+        s = _squarings(np.linalg.norm(aug.M * step, 1))
+        E = expm(aug.M, math.ldexp(step, -s))
+        F = E[:d + 1, :d + 1]
+        Q = E[:d + 1, d + 1:] @ F.T
+        for _ in range(s):
+            Q = Q + F @ Q @ F.T
+            F = F @ F
+        z = np.block([[state.P0, state.m0[:, None]], [state.m0[None], 1.0]])
+        points = []
+        while len(points) < n_steps:
+            z = F @ z @ F.T + Q
+            points.append(z)
     else:
         E = expm(aug.M, step)
-        points = [E if aug.u is None else E @ aug.u]
+        points = [E @ aug.u]
         while len(points) < n_steps:
             points.append(E @ points[-1])
     results = []
     for k, x in enumerate(points, start=1):
         if aug.u is None:
-            F1, H1 = x[:d, :d], x[:d, d + 1:2 * d + 1]
-            mean = state.m0 + x[:d, -1]
-            secmom = F1 @ state.P0 @ F1.T + H1 @ F1.T + F1 @ H1.T
+            mean, secmom = x[:d, d], x[:d, :d]
         else:
             mean = state.m0 + x[aug.mean_slice]
             secmom = x[:d * d].reshape((d, d), order="F")

@@ -18,9 +18,9 @@ from sdemoments import (ExpmConvergenceError, ExpmError, ExpmOptions,
                         moment_ode_rhs, moments_at, moments_baseline,
                         propagate_grid, rk4_moments, vec)
 from sdemoments.moments import (_DENSE_LIMIT, _wants_action, build_beta, build_C,
-                                build_calA, build_script_B)
-from support import (CLASSES, random_stable_model, random_state, reference_grid,
-                     rel_diff)
+                                build_calA, build_script_B, make_result)
+from support import (CLASSES, ito_closure_moments, random_stable_model,
+                     random_state, reference_grid, rel_diff)
 
 moments_module = importlib.import_module("sdemoments.moments")
 oracle_module = importlib.import_module("sdemoments.oracle")
@@ -414,18 +414,21 @@ def test_overflowing_moments_raise_typed_error():
         with pytest.raises(ExpmOverflowError):
             propagate_grid(big, big_state, 10.0, 12, options=action)
         # e^{100 t} overflows the second moment first at t = 4 of 6; the
-        # error names that time, not the last one, on the dense route and on
-        # the named action route, which returns the overflowed Krylov rows
-        # (the additive model takes that route under the general formulation)
+        # error names the first time whose mean or variance is not finite,
+        # not the last one. That is t = 4 on the dense route. The named
+        # action route returns the overflowed Krylov rows (the additive
+        # model takes it under the general formulation), whose normwise
+        # estimate leaves the mean far off under vec(P); its square then
+        # overflows the variance earlier, at t = 3 and t = 2
         state = MomentState(m0=[1.0], P0=[[1.0]])
-        for sde, vector_formulation in (
+        for sde, vector_formulation, action_time in (
                 (LinearSde(d=1, m=1, A=[[100.0]], a0=[0.0], B=[[[0.1]]],
-                           b0=[[0.0]]), None),
+                           b0=[[0.0]]), None, 3),
                 (LinearSde(d=1, m=1, A=[[100.0]], a0=[0.0], b0=[[1.0]]),
-                 Formulation.GENERAL)):
+                 Formulation.GENERAL, 2)):
             with pytest.raises(ExpmOverflowError, match=r"at t = 4 "):
                 propagate_grid(sde, state, 1.0, 6)
-            with pytest.raises(ExpmOverflowError, match=r"at t = 4 "):
+            with pytest.raises(ExpmOverflowError, match=rf"at t = {action_time} "):
                 propagate_grid(sde, state, 1.0, 6, options=action,
                                formulation=vector_formulation)
 
@@ -636,18 +639,64 @@ def test_action_route_rejected_for_additive():
         propagate_grid(sde, state, 0.1, 2, options=ExpmOptions(method="action"))
 
 
-def test_additive_raises_where_cancellation_loses_accuracy():
+def test_additive_answers_at_long_horizons():
+    # the growing adjoint block e^{-A^T tau} is never formed, so horizons
+    # where reading the noise integral off e^{M tau} cancelled, or where
+    # that block overflowed, give the autonomous formulation's moments
     label, sde, state = hilbert_systems(8)[2]
     assert label == "autonomous_additive"
-    with pytest.raises(ExpmError, match="Formulation.AUTONOMOUS"):
-        moments_at(sde, state, sde.t0 + 20.0)
-    with pytest.raises(ExpmError, match="Formulation.AUTONOMOUS"):
-        propagate_grid(sde, state, 0.5, 60)
-    t = sde.t0 + 4.0
-    additive = moments_at(sde, state, t)
-    autonomous = moments_at(sde, state, t, formulation=Formulation.AUTONOMOUS)
-    assert rel_diff(additive.mean, autonomous.mean, floor=1.0) < 1e-12
-    assert rel_diff(additive.secmom, autonomous.secmom) < 1e-12
+    stiff = LinearSde(d=2, m=1, A=np.diag([-0.1, -10.0]), a0=[1.0, 0.0],
+                      b0=[[1.0, 1.0]])
+    zero = MomentState(m0=np.zeros(2), P0=np.zeros((2, 2)))
+    autonomous = {"formulation": Formulation.AUTONOMOUS}
+    cases = [(sde, state, 4.0), (sde, state, 20.0), (sde, state, 50.0),
+             (stiff, zero, 3.0), (stiff, zero, 10.0), (stiff, zero, 50.0)]
+    pairs = [(moments_at(model, s, model.t0 + tau),
+              moments_at(model, s, model.t0 + tau, **autonomous))
+             for model, s, tau in cases]
+    pairs += zip(propagate_grid(sde, state, 0.5, 60),
+                 propagate_grid(sde, state, 0.5, 60, **autonomous))
+    for additive, want in pairs:
+        assert rel_diff(additive.mean, want.mean, floor=1.0) < 1e-12
+        assert rel_diff(additive.secmom, want.secmom) < 1e-12
+
+
+def _stiff_additive_model(rng, d):
+    """The stiff-model fuzz recipe with B = 0: A = V diag(-lambda) V^-1,
+    lambda log-uniform in [1e-2, 10^k] with k ~ U(0, 3), V = I + c U for a
+    strictly upper Gaussian U and c ~ U(0, 1.5); a0, b0 and m0 standard
+    normal, P0 = G G^T / 2 + m0 m0^T and tau = 10^U(-1, 2)."""
+    m = int(rng.integers(0, 3))
+    lam = 10.0 ** rng.uniform(-2.0, rng.uniform(0.0, 3.0), d)
+    V = np.eye(d) + rng.uniform(0.0, 1.5) * np.triu(rng.standard_normal((d, d)), 1)
+    sde = LinearSde(d=d, m=m, A=V @ np.diag(-lam) @ np.linalg.inv(V),
+                    a0=rng.standard_normal(d), b0=rng.standard_normal((m, d)))
+    m0, G = rng.standard_normal(d), rng.standard_normal((d, d))
+    state = MomentState(m0=m0, P0=0.5 * G @ G.T + np.outer(m0, m0))
+    return sde, state, 10.0 ** rng.uniform(-1.0, 2.0)
+
+
+def test_stiff_additive_models_match_ito_closure():
+    # stiff, non-normal drifts over horizons where e^{-A^T tau} grows far
+    # past e^{A tau}: mean against mean and P against P, each relative to
+    # its own largest entry, so a large P cannot hide an error in the mean
+    rng = np.random.default_rng(2027)
+    for _ in range(60):
+        sde, state, tau = _stiff_additive_model(rng, int(rng.integers(1, 14)))
+        assert classify(sde) is Formulation.ADDITIVE
+        mean, secmom = ito_closure_moments(sde, state, tau)
+        res = moments_at(sde, state, sde.t0 + tau)
+        assert rel_diff(res.mean, mean) <= 1e-8
+        assert rel_diff(res.secmom, secmom) <= 1e-8
+
+
+def test_make_result_rejects_an_overflowing_variance():
+    # a finite mean and second moment whose variance overflows raise the
+    # typed error at its time, with no numpy warning and no garbage variance
+    means = np.array([[1.0, 1.0], [1e200, 1.0]])
+    secmoms = np.array([np.eye(2), [[1e300, 0.0], [0.0, 1.0]]])
+    with pytest.raises(ExpmOverflowError, match=r"at t = 1 "):
+        make_result([0.5, 1.0], means, secmoms)
 
 
 def test_default_method_selection():
@@ -673,7 +722,8 @@ def test_default_method_selection():
         assert aug.n == n
         assert (aug.n > _DENSE_LIMIT) == action
         assert _wants_action(aug, None) == action
-    # the additive formulation reads matrix blocks, so it stays dense
+    # the additive formulation squares a pair of matrix blocks, so it
+    # stays dense
     additive, state_add = random_stable_model(rng, 70, "autonomous_additive")
     aug_add = assemble(additive, state_add)
     assert aug_add.n > _DENSE_LIMIT
@@ -901,7 +951,9 @@ def test_reused_system_after_a_failure_gives_fresh_results():
                           [moments_at(dataclasses.replace(stiff), stiff_state, t,
                                       options)])
     # at t = 1.7e308, ||M t||_1 overflows before expm can count squarings;
-    # e^{100 t} overflows the second moment at t = 4
+    # e^{100 t} overflows the second moment at t = 4. The action route's
+    # mean of that model is lost under vec(P), and at t = 3 its square
+    # overflows the variance, so that grid raises, reused or fresh
     state = MomentState(m0=[1.0], P0=[[1.0]])
     for sde, t in ((LinearSde(d=1, m=1, A=[[-1.0]], a0=[0.0], B=[[[0.5]]],
                               b0=[[1.0]]), 1.7e308),
@@ -913,6 +965,11 @@ def test_reused_system_after_a_failure_gives_fresh_results():
                 with pytest.raises(ExpmOverflowError):
                     moments_at(sde, state, t, options)
             for tau in (0.5, 1.0):
+                if t == 6.0 and options is ACTION and tau == 1.0:
+                    for model in (sde, dataclasses.replace(sde)):
+                        with pytest.raises(ExpmOverflowError, match=r"at t = 3 "):
+                            propagate_grid(model, state, tau, 3, options)
+                    continue
                 _assert_identical(
                     propagate_grid(sde, state, tau, 3, options),
                     propagate_grid(dataclasses.replace(sde), state, tau, 3, options))
