@@ -33,6 +33,10 @@ _PADE_COEFFS = (
     670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
     960960.0, 16380.0, 182.0, 1.0,
 )
+#: rows U1, V1, U0, V0 of the numerator's sums of a^2, a^4 and a^6
+_PADE_MIX = np.array([_PADE_COEFFS[i:i + 5:2] for i in (9, 8, 3, 2)])
+#: c1 and c0, the identity terms of U0 and V0
+_PADE_DIAGONAL = np.array([[_PADE_COEFFS[1]], [_PADE_COEFFS[0]]])
 
 #: Krylov stops once its a posteriori relative error estimate is at most this
 _KRYLOV_TOL = 1e-12
@@ -92,23 +96,28 @@ def _as_square(a, name: str = "a") -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
 
 def _pade_uv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Odd and even parts u, v of the order-13 Pade numerator at a."""
-    c = _PADE_COEFFS
-    eye = np.eye(a.shape[0])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (a6 @ (c[13] * a6 + c[11] * a4 + c[9] * a2)
-             + c[7] * a6 + c[5] * a4 + c[3] * a2 + c[1] * eye)
-    v = (a6 @ (c[12] * a6 + c[10] * a4 + c[8] * a2)
-         + c[6] * a6 + c[4] * a4 + c[2] * a2 + c[0] * eye)
-    return u, v
+    """Odd and even parts u, v of the order-13 Pade numerator at a.
+
+    u = a (a^6 U1 + U0) and v = a^6 V1 + V0, with U1, V1, U0, V0 the
+    coefficient sums of a^2, a^4 and a^6 that _PADE_MIX forms in one
+    product; c1 and c0 go on the diagonals.
+    """
+    n = a.shape[0]
+    powers = np.empty((3, n, n))  # a^2, a^4, a^6
+    np.matmul(a, a, out=powers[0])
+    np.matmul(powers[0], powers[0], out=powers[1])
+    np.matmul(powers[0], powers[1], out=powers[2])
+    sums = (_PADE_MIX @ powers.reshape(3, n * n)).reshape(4, n, n)
+    uv = powers[2] @ sums[:2]  # fresh and contiguous, so the reshape is a view
+    uv += sums[2:]
+    uv.reshape(2, n * n)[:, ::n + 1] += _PADE_DIAGONAL
+    return a @ uv[0], uv[1]
 
 
 def _squarings(norm: float) -> int:
@@ -147,14 +156,20 @@ def expm(a, t: float = 1.0) -> np.ndarray:
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
+    return _expm(a, t)
 
-    with np.errstate(over="ignore"):
+
+def _expm(a: np.ndarray, t: float) -> np.ndarray:
+    """:func:`expm` without its input checks, for a square float array a
+    with finite entries and a finite t."""
+    # a t, the squarings and the products may leave the double range; the
+    # norm and the result are checked, so numpy's warnings are silenced
+    with np.errstate(over="ignore", invalid="ignore"):
         b = a * t
-    norm = np.linalg.norm(b, 1)
-    squarings = _squarings(norm)
-    if norm == 0.0:
-        result = np.eye(b.shape[0])
-    else:
+        norm = np.abs(b).sum(axis=0).max()  # the 1-norm
+        squarings = _squarings(norm)
+        if norm == 0.0:
+            return np.eye(b.shape[0])
         if squarings:
             b = b / (2.0 ** squarings)
         u, v = _pade_uv(b)
@@ -162,11 +177,9 @@ def expm(a, t: float = 1.0) -> np.ndarray:
             result = np.linalg.solve(v - u, v + u)
         except np.linalg.LinAlgError as exc:
             raise ExpmError(f"Pade denominator is singular: {exc}") from exc
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(squarings):
-                result = result @ result
-
-    if not np.all(np.isfinite(result)):
+        for _ in range(squarings):
+            result = result @ result
+    if not np.isfinite(result).all():
         raise ExpmOverflowError(
             "matrix exponential overflows double precision; "
             "rescale the problem or reduce t")
@@ -175,11 +188,12 @@ def expm(a, t: float = 1.0) -> np.ndarray:
 
 def _norm(x: np.ndarray):
     """2-norm of a vector, rescaled by its largest entry where the squares
-    overflow; inf or nan only if the norm itself is not finite."""
+    overflow or underflow; inf or nan only if the norm itself is not
+    finite, and 0 only for a zero vector."""
     r = np.linalg.norm(x)
-    if math.isinf(r):
+    if math.isinf(r) or r == 0.0:
         s = np.abs(x).max()
-        if math.isfinite(s):
+        if math.isfinite(s) and s > 0.0:
             r = s * np.linalg.norm(x / s)
     return r
 
@@ -214,6 +228,7 @@ class _Arnoldi:
         self.h = np.zeros((cap + 1, cap))
         self.size = 0
         self.closed = False
+        self.h_max = 0.0  # max |h| over the first size columns
 
     def extend(self, product, m: int) -> int:
         """Steps until the basis has m vectors or closes; its size then.
@@ -240,7 +255,11 @@ class _Arnoldi:
             h[:j + 1, j] = column
             h[j + 1, j] = h_next
             self.size = j + 1
-            self.closed = h_next <= 1e-14 * max(1.0, np.abs(h[:j + 1, :j + 1]).max())
+            # the max over h[:j + 1, :j + 1], which adds column j to columns
+            # 0..j - 1, whose subdiagonals the running max already holds
+            self.h_max = max(self.h_max, np.abs(column).max())
+            self.closed = h_next <= 1e-14 * max(1.0, self.h_max)
+            self.h_max = max(self.h_max, h_next)
             if not self.closed:
                 basis[j + 1] = w / h_next
         return min(m, self.size)
@@ -323,7 +342,7 @@ def expm_action(a, v, t: float = 1.0, n_steps: int | None = None) -> np.ndarray:
         if v.ndim != 1 or v.shape[0] != matrix.shape[0]:
             raise ValueError(f"v must be 1-d of length {matrix.shape[0]}, "
                              f"got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("v contains non-finite entries")
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
@@ -354,7 +373,7 @@ def expm_action(a, v, t: float = 1.0, n_steps: int | None = None) -> np.ndarray:
             # doubling: rows L + 1..2L are rows 1..L times e^(H_m L t)
             while len(y) < (n_steps or 1):
                 y, power = np.vstack([y, y @ power.T])[:n_steps], power @ power
-            overflow = not np.all(np.isfinite(y))  # no larger basis undoes it
+            overflow = not np.isfinite(y).all()  # no larger basis undoes it
             # each row's norm by one dot, as np.linalg.norm forms a vector's;
             # where its squares overflow or underflow, rescaled as by _norm
             norms = np.sqrt(np.matmul(y[:, None], y[:, :, None]).ravel())

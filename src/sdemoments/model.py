@@ -58,11 +58,6 @@ class Formulation(enum.Enum):
     ADDITIVE = "additive"
 
 
-def _check(condition: bool, message: str, path: str | None = None) -> None:
-    if not condition:
-        raise ModelError(message, path)
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -82,7 +77,7 @@ def _check_count(value, name: str, minimum: int, path: str | None = None) -> int
 
 
 def _finite(a: np.ndarray, name: str) -> np.ndarray:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ModelError("contains non-finite entries", name)
     return a
 
@@ -125,13 +120,14 @@ class LinearSde:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "m", m)
         t0 = float(self.t0)
-        _check(np.isfinite(t0), "t0 must be finite", "t0")
+        if not np.isfinite(t0):
+            raise ModelError("t0 must be finite", "t0")
         object.__setattr__(self, "t0", t0)
 
         def arr(value, shape, name):
             out = np.zeros(shape) if value is None else np.array(value, dtype=float)
-            _check(out.shape == shape,
-                   f"expected shape {shape}, got {out.shape}", name)
+            if out.shape != shape:
+                raise ModelError(f"expected shape {shape}, got {out.shape}", name)
             return _freeze(_finite(out, name))
 
         object.__setattr__(self, "A", arr(self.A, (d, d), "A"))
@@ -165,26 +161,26 @@ class MomentState:
 
     def __post_init__(self):
         m0 = np.array(self.m0, dtype=float)
-        _check(m0.ndim == 1 and m0.shape[0] >= 1,
-               f"m0 must be 1-d, got shape {m0.shape}", "m0")
+        if m0.ndim != 1 or m0.shape[0] < 1:
+            raise ModelError(f"m0 must be 1-d, got shape {m0.shape}", "m0")
         _finite(m0, "m0")
         d = m0.shape[0]
         P0 = np.array(self.P0, dtype=float)
-        _check(P0.shape == (d, d),
-               f"expected shape {(d, d)}, got {P0.shape}", "P0")
+        if P0.shape != (d, d):
+            raise ModelError(f"expected shape {(d, d)}, got {P0.shape}", "P0")
         _finite(P0, "P0")
 
         asym = np.abs(P0 - P0.T).max()
         scale = max(np.abs(P0).max(), 1.0)
-        _check(asym <= _SYMMETRY_RTOL * scale,
-               f"not symmetric: max asymmetry {asym:.3e} exceeds "
-               f"{_SYMMETRY_RTOL:g} relative", "P0")
+        if not asym <= _SYMMETRY_RTOL * scale:
+            raise ModelError(f"not symmetric: max asymmetry {asym:.3e} exceeds "
+                             f"{_SYMMETRY_RTOL:g} relative", "P0")
 
         cov = P0 - np.outer(m0, m0)
         min_eig = float(np.linalg.eigvalsh((cov + cov.T) / 2.0).min())
-        _check(min_eig >= -_PSD_SLACK,
-               f"P0 - m0 m0^T is not positive semidefinite "
-               f"(min eigenvalue {min_eig:.3e})", "P0")
+        if not min_eig >= -_PSD_SLACK:
+            raise ModelError(f"P0 - m0 m0^T is not positive semidefinite "
+                             f"(min eigenvalue {min_eig:.3e})", "P0")
 
         object.__setattr__(self, "m0", _freeze(m0))
         object.__setattr__(self, "P0", _freeze(P0))
@@ -202,9 +198,9 @@ def classify(sde: LinearSde) -> Formulation:
     autonomous model is additive when every B_i is too. Everything else
     needs GENERAL; a noise-free model (m = 0) is ADDITIVE unless a1 != 0.
     """
-    if np.any(sde.a1) or np.any(sde.b1):
+    if sde.a1.any() or sde.b1.any():
         return Formulation.GENERAL
-    if not np.any(sde.B):
+    if not sde.B.any():
         return Formulation.ADDITIVE
     return Formulation.AUTONOMOUS
 

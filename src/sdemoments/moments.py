@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .expm import (ExpmConvergenceError, ExpmOptions, ExpmOverflowError,
-                   _ResumableProduct, _squarings, expm, expm_action)
+                   _expm, _ResumableProduct, _squarings, expm, expm_action)
 from .model import Formulation, LinearSde, MomentState, _check_count, classify
 
 __all__ = [
@@ -147,14 +147,14 @@ def make_result(times: list[float], means: np.ndarray,
     """Symmetrized MomentResults, as read-only row views, of raw moment stacks.
 
     Row k of ``means`` and ``secmoms_raw`` belongs to ``times[k]``. Raises
-    :class:`ExpmOverflowError` naming the first time with a non-finite mean
-    or variance, which a non-finite second moment makes non-finite too.
+    :class:`ExpmOverflowError` naming the first time with a non-finite
+    variance, which a non-finite mean or second moment makes non-finite too.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         defects = np.abs(secmoms_raw - secmoms_raw.transpose(0, 2, 1)).max(axis=(1, 2))
         secmoms = (secmoms_raw + secmoms_raw.transpose(0, 2, 1)) / 2.0
         variances = secmoms - means[:, :, None] * means[:, None, :]
-    finite = np.isfinite(means).all(axis=1) & np.isfinite(variances).all(axis=(1, 2))
+    finite = np.isfinite(variances).all(axis=(1, 2))
     if not finite.all():
         raise ExpmOverflowError(
             f"moments at t = {float(times[finite.argmin()]):g} overflow double "
@@ -443,14 +443,25 @@ def _propagate(aug: AugmentedSystem, state: MomentState, step: float,
             if rows is None:
                 # the fallback leaves M unkept: the kept system holds the basis
                 E = expm(_dense_M(aug) if action else aug.M, step)
-                rows = [E @ aug.u]
-                for _ in times[1:]:
-                    rows.append(E @ rows[-1])
-            v = np.asarray(rows)
-            means = state.m0 + v[:, aug.mean_slice]
+                rows = np.empty((len(times), aug.n))
+                _steps(E, aug.u, rows)
+            else:
+                # below vec(P), M is [0, flow]: the Krylov estimate is normwise
+                # and may leave the tail, which holds the mean, lost under
+                # vec(P), so the tail steps by flow's own exponential; the
+                # Krylov products have checked these columns already
+                dd = d * d
+                _steps(_expm(aug.apply.columns[dd:], step), aug.u[dd:], rows[:, dd:])
+            means = state.m0 + rows[:, aug.mean_slice]
             # vec(P) stacks the columns of P, so each row reshapes to P^T
-            secmoms = v[:, :d * d].reshape(-1, d, d).transpose(0, 2, 1)
+            secmoms = rows[:, :d * d].reshape(-1, d, d).transpose(0, 2, 1)
     return make_result(times, means, secmoms)
+
+
+def _steps(E: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """Fill row k of ``out`` with E^(k+1) x."""
+    for row in out:
+        x = np.dot(E, x, out=row)
 
 
 def moments_at(sde: LinearSde, state: MomentState, t: float,

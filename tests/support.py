@@ -111,11 +111,17 @@ def reference_grid(sde, state, step, n_steps, method, formulation=None):
     engine's own product, which test_structured_product_matches_dense_M
     checks against M @ x, through a plain callable, so that it builds a
     Krylov basis of its own rather than continue the one the engine keeps
-    on the system."""
+    on the system. Below vec(P), M is [0, flow], so on the action route the
+    tail of each point, which holds the mean, steps by e^{flow step}."""
     aug = assemble(sde, state, formulation)
     d = aug.d
     if method == "action":
         points = list(expm_action(lambda x: aug.apply(x), aug.u, step, n_steps))
+        dd = d * d
+        E = expm(aug.M[dd:, dd:], step)
+        tail = aug.u[dd:]
+        for x in points:
+            x[dd:] = tail = E @ tail
     elif aug.u is None:
         s = _squarings(np.linalg.norm(aug.M * step, 1))
         E = expm(aug.M, math.ldexp(step, -s))

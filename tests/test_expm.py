@@ -7,7 +7,7 @@ import scipy.linalg
 
 from sdemoments import (ExpmConvergenceError, ExpmOptions, ExpmOverflowError,
                         assemble, expm, expm_action)
-from support import random_stable_model
+from support import random_stable_model, rel_diff
 
 expm_module = importlib.import_module("sdemoments.expm")
 
@@ -128,6 +128,29 @@ def test_one_approximant_matches_scipy(monkeypatch):
                 assert np.linalg.norm(b, 1) > theta / 2, norm
 
 
+def test_stacked_numerator_matches_the_nested_form():
+    # u and v as Higham writes them, with the identity formed; the stacked
+    # evaluation adds c1 and c0 on the diagonals of a reshaped buffer, which
+    # a reshape that copied would silently drop
+    c = expm_module._PADE_COEFFS
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3, 10, 55):
+        for norm in (1e-3, 1.0, expm_module._THETA_13):
+            a = rng.uniform(-1.0, 1.0, (n, n))
+            a *= norm / np.linalg.norm(a, 1)
+            eye = np.eye(n)
+            a2 = a @ a
+            a4 = a2 @ a2
+            a6 = a2 @ a4
+            u = a @ (a6 @ (c[13] * a6 + c[11] * a4 + c[9] * a2)
+                     + c[7] * a6 + c[5] * a4 + c[3] * a2 + c[1] * eye)
+            v = (a6 @ (c[12] * a6 + c[10] * a4 + c[8] * a2)
+                 + c[6] * a6 + c[4] * a4 + c[2] * a2 + c[0] * eye)
+            got_u, got_v = expm_module._pade_uv(a)
+            assert rel_diff(got_u, u) <= 1e-15, (n, norm)
+            assert rel_diff(got_v, v) <= 1e-15, (n, norm)
+
+
 def test_overflow_raises():
     with pytest.raises(ExpmOverflowError):
         expm(np.array([[2000.0]]))
@@ -167,6 +190,13 @@ def test_action_trivial_cases():
     np.testing.assert_array_equal(expm_action(a, v, 0.0, 3), np.tile(v, (3, 1)))
     np.testing.assert_array_equal(expm_action(a, np.zeros(5), 1.0, 2),
                                   np.zeros((2, 5)))
+
+
+def test_action_of_a_vector_whose_squares_underflow():
+    # below about 1e-162 the squares of v's entries underflow, so its plain
+    # 2-norm is 0; v is not the zero vector, and its action is not v
+    got = expm_action(np.diag([1.0, 2.0]), np.full(2, 1e-170), 1.0)
+    np.testing.assert_allclose(got, 1e-170 * np.exp([1.0, 2.0]), rtol=1e-14)
 
 
 def test_action_happy_breakdown():
