@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 computation or validation failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -136,7 +137,9 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and kept."""
     parser = argparse.ArgumentParser(
         prog="sdemoments",
         description="First and second moments of linear SDEs via a single "

@@ -313,6 +313,13 @@ def expm_action(a, v, t: float = 1.0, n_steps: int | None = None) -> np.ndarray:
     the full space, where the projection is exact. Reaching 96 basis
     vectors first raises :class:`ExpmConvergenceError` carrying the last
     estimate as its ``residual``; the dense exponential is then the remedy.
+    An e^(H_m t) that overflows at a checkpoint, as a spurious Ritz value
+    of a small basis can make it, counts as an estimate of inf: the basis
+    grows, and at the cap the residual is inf. A basis that becomes exact
+    after such an overflow is not trusted either: its H_m is that of an a
+    too non-normal for a rounded e^(H_m t), so it raises
+    :class:`ExpmConvergenceError` with residual inf too. Only an exact
+    basis reached without an overflow raises :class:`ExpmOverflowError`.
     A product a x, or a norm of v, that is not finite raises
     :class:`ExpmOverflowError`. A result that leaves the double range comes
     back non-finite, without a numpy warning;
@@ -362,40 +369,56 @@ def expm_action(a, v, t: float = 1.0, n_steps: int | None = None) -> np.ndarray:
     cap = min(n, _MAX_KRYLOV)
     arnoldi = _arnoldi(a, v, beta, cap)
     checkpoint, previous = 8, None
+    overflowed = False  # some e^(H_m t) of this call has overflowed
     # an overflowing product, a later step, a norm or the result can leave
     # the double range; each is checked, so numpy's warnings are silenced
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             m = arnoldi.extend(product, min(checkpoint, cap))
             h_next = arnoldi.h[m, m - 1]
-            step = expm(arnoldi.h[:m, :m], t)
-            y, power = step[:, :1].T, step  # row k - 1 is e^(H_m k t) e_1
-            # doubling: rows L + 1..2L are rows 1..L times e^(H_m L t)
-            while len(y) < (n_steps or 1):
-                y, power = np.vstack([y, y @ power.T])[:n_steps], power @ power
-            overflow = not np.isfinite(y).all()  # no larger basis undoes it
-            # each row's norm by one dot, as np.linalg.norm forms a vector's;
-            # where its squares overflow or underflow, rescaled as by _norm
-            norms = np.sqrt(np.matmul(y[:, None], y[:, :, None]).ravel())
-            bad = np.isinf(norms) | (norms == 0.0)
-            if bad.any():
-                scale = np.abs(y[bad]).max(axis=1)
-                norms[bad] = scale * np.linalg.norm(y[bad] / scale[:, None], axis=1)
-            # the estimate for horizon k t; np.max keeps a nan from overflow
-            estimate = np.max(np.arange(1, len(y) + 1) * t * h_next
-                              * np.abs(y[:, -1]) / norms)
             # an invariant subspace or a full basis makes the projection exact
             exact = (arnoldi.closed and m == arnoldi.size) or m == n
-            if exact or estimate <= _KRYLOV_TOL or overflow:
-                q = arnoldi.basis[:m]
-                rows = [beta * (yk @ q) for yk in y]  # as a one-vector call forms it
-                return rows[0] if n_steps is None else np.array(rows)
+            if exact and overflowed:
+                # an a for which a smaller basis overflowed can be too
+                # non-normal for the rounded H_m: its e^(H_m t) is not
+                # trusted, and the basis can grow no further
+                estimate = math.inf
+                break
+            try:
+                step = expm(arnoldi.h[:m, :m], t)
+            except ExpmOverflowError:
+                # a spurious Ritz value of an inexact basis can overflow
+                # e^(H_m t) where e^(a t) v is finite: not converged yet
+                if exact:
+                    raise
+                overflowed, estimate = True, math.inf
+            else:
+                y, power = step[:, :1].T, step  # row k - 1 is e^(H_m k t) e_1
+                # doubling: rows L + 1..2L are rows 1..L times e^(H_m L t)
+                while len(y) < (n_steps or 1):
+                    y, power = np.vstack([y, y @ power.T])[:n_steps], power @ power
+                overflow = not np.isfinite(y).all()  # no larger basis undoes it
+                # each row's norm by one dot, as np.linalg.norm forms a
+                # vector's; where its squares overflow or underflow,
+                # rescaled as by _norm
+                norms = np.sqrt(np.matmul(y[:, None], y[:, :, None]).ravel())
+                bad = np.isinf(norms) | (norms == 0.0)
+                if bad.any():
+                    scale = np.abs(y[bad]).max(axis=1)
+                    norms[bad] = scale * np.linalg.norm(y[bad] / scale[:, None], axis=1)
+                # the estimate for horizon k t; np.max keeps a nan from overflow
+                estimate = np.max(np.arange(1, len(y) + 1) * t * h_next
+                                  * np.abs(y[:, -1]) / norms)
+                if exact or estimate <= _KRYLOV_TOL or overflow:
+                    q = arnoldi.basis[:m]
+                    rows = [beta * (yk @ q) for yk in y]  # as a one-vector call forms it
+                    return rows[0] if n_steps is None else np.array(rows)
             if m == cap:
                 break
             checkpoint, previous = _next_checkpoint(previous, m, estimate), (m, estimate)
 
     raise ExpmConvergenceError(
-        f"Krylov iteration did not converge within {cap} iterations "
+        f"Krylov iteration did not converge within {m} iterations "
         f"(last error estimate {estimate:.3e}); use the dense route, "
         f'ExpmOptions(method="dense")',
         residual=estimate,

@@ -104,9 +104,12 @@ class AugmentedSystem:
 
     ``mean_slice`` indexes the propagated vector e^{M h} u, whose first
     d^2 entries are vec(P) (pure selectors, never materialized as
-    matrices). The additive formulation has ``u = None``: its M is Van
-    Loan's [[At, St], [0, -At^T]] for z = [x; 1], with At = [[A, a0], [0, 0]]
-    and St = diag(b0^T b0, 0), and takes nothing from the initial state.
+    matrices). ``mean_block`` indexes the rows and columns of M, d + 2 of
+    them, whose diagonal block of flow, C, carries the mean on its own:
+    u's entries there evolve by e^{C h}. The additive formulation has
+    ``u = None``: its M is Van Loan's [[At, St], [0, -At^T]] for
+    z = [x; 1], with At = [[A, a0], [0, 0]] and St = diag(b0^T b0, 0),
+    and takes nothing from the initial state.
     """
 
     formulation: Formulation
@@ -114,6 +117,7 @@ class AugmentedSystem:
     d: int
     u: np.ndarray | None
     mean_slice: slice | None
+    mean_block: slice | None
     apply: _Product = field(repr=False)
 
     @cached_property
@@ -303,7 +307,7 @@ def _layout(sde: LinearSde, state: MomentState,
         M[:d, d] = sde.a0
         M[:d, w:w + d] = sde.b0.T @ sde.b0
         M[w:, w:] = -M[:w, :w].T
-        return _system(formulation, sde, M, None, None)
+        return _system(formulation, sde, M, None, None, None)
 
     # M = [[calA, forcing], [0, flow]]; u seeds vec(P0), the constant 1 and
     # the last unit vector of C, whose flow carries m_t - m0
@@ -322,7 +326,8 @@ def _layout(sde: LinearSde, state: MomentState,
         u[:dd] = state.P0.ravel("F")
         u[dd] = 1.0
         u[n - 1] = 1.0
-        return _system(formulation, sde, columns, u, slice(dd + 1, dd + 1 + d))
+        return _system(formulation, sde, columns, u, slice(dd + 1, dd + 1 + d),
+                       slice(dd, n))
 
     # the mean flow appears twice, as a ramp s e^{C s} r and as e^{C s} r,
     # followed by s^2, s and 1
@@ -344,7 +349,8 @@ def _layout(sde: LinearSde, state: MomentState,
     u[:dd] = state.P0.ravel("F")
     u[dd + 2 * w - 1] = 1.0
     u[n - 1] = 1.0
-    return _system(formulation, sde, columns, u, slice(dd + w, dd + w + d))
+    return _system(formulation, sde, columns, u, slice(dd + w, dd + w + d),
+                   slice(dd + w, dd + 2 * w))
 
 
 def _dense_M(aug: AugmentedSystem) -> np.ndarray:
@@ -363,12 +369,14 @@ def _dense_M(aug: AugmentedSystem) -> np.ndarray:
 
 
 def _system(formulation: Formulation, sde: LinearSde, columns: np.ndarray,
-            u: np.ndarray | None, mean_slice: slice | None) -> AugmentedSystem:
+            u: np.ndarray | None, mean_slice: slice | None,
+            mean_block: slice | None) -> AugmentedSystem:
     for a in (columns, u):
         if a is not None:
             a.setflags(write=False)
     return AugmentedSystem(formulation=formulation, n=columns.shape[0], d=sde.d,
-                           u=u, mean_slice=mean_slice, apply=_Product(sde, columns))
+                           u=u, mean_slice=mean_slice, mean_block=mean_block,
+                           apply=_Product(sde, columns))
 
 
 def _overflow_error(sde: LinearSde) -> ExpmOverflowError:
@@ -447,11 +455,12 @@ def _propagate(aug: AugmentedSystem, state: MomentState, step: float,
                 _steps(E, aug.u, rows)
             else:
                 # below vec(P), M is [0, flow]: the Krylov estimate is normwise
-                # and may leave the tail, which holds the mean, lost under
-                # vec(P), so the tail steps by flow's own exponential; the
-                # Krylov products have checked these columns already
-                dd = d * d
-                _steps(_expm(aug.apply.columns[dd:], step), aug.u[dd:], rows[:, dd:])
+                # and may leave the mean lost under vec(P), so the mean's
+                # block of flow steps by its own exponential; the Krylov
+                # products have checked these columns already
+                block, dd = aug.mean_block, d * d  # columns stores M[:, dd:]
+                C = aug.apply.columns[block, block.start - dd:block.stop - dd]
+                _steps(_expm(C, step), aug.u[block], rows[:, block])
             means = state.m0 + rows[:, aug.mean_slice]
             # vec(P) stacks the columns of P, so each row reshapes to P^T
             secmoms = rows[:, :d * d].reshape(-1, d, d).transpose(0, 2, 1)

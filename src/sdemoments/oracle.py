@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 _CHUNK = 1024
+_TABLE = 2 ** 15  # entries of the Euler-Maruyama step matrices held at once
 
 
 def moment_ode_rhs(sde: LinearSde, m: np.ndarray, P: np.ndarray,
@@ -63,20 +64,19 @@ def rk4_moments(sde: LinearSde, state: MomentState, t: float,
     _check_count(n_steps, "n_steps", 1)
 
     h = tau / n_steps
+    half, sixth = 0.5 * h, h / 6.0
     m = np.array(state.m0, dtype=float)
     P = np.array(state.P0, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             tk = sde.t0 + k * h
             k1m, k1P = moment_ode_rhs(sde, m, P, tk)
-            k2m, k2P = moment_ode_rhs(sde, m + 0.5 * h * k1m,
-                                      P + 0.5 * h * k1P, tk + 0.5 * h)
-            k3m, k3P = moment_ode_rhs(sde, m + 0.5 * h * k2m,
-                                      P + 0.5 * h * k2P, tk + 0.5 * h)
+            k2m, k2P = moment_ode_rhs(sde, m + half * k1m, P + half * k1P, tk + half)
+            k3m, k3P = moment_ode_rhs(sde, m + half * k2m, P + half * k2P, tk + half)
             k4m, k4P = moment_ode_rhs(sde, m + h * k3m, P + h * k3P, tk + h)
-            m = m + (h / 6.0) * (k1m + 2.0 * (k2m + k3m) + k4m)
-            P = P + (h / 6.0) * (k1P + 2.0 * (k2P + k3P) + k4P)
-            if not (np.all(np.isfinite(m)) and np.all(np.isfinite(P))):
+            m = m + sixth * (k1m + 2.0 * (k2m + k3m) + k4m)
+            P = P + sixth * (k1P + 2.0 * (k2P + k3P) + k4P)
+            if not (np.isfinite(m).all() and np.isfinite(P).all()):
                 raise RuntimeError(
                     f"moment integration produced non-finite values at step "
                     f"{k + 1} of {n_steps} (t = {tk + h:g})")
@@ -146,19 +146,75 @@ def _initial_factor(state: MomentState) -> np.ndarray:
     return V * np.sqrt(np.clip(w, 0.0, None))
 
 
+class _StepMatrices:
+    """The step matrices G_s of :func:`_simulate` for n_steps steps of size
+    h, tabulated a chunk of steps at a time.
+
+    A chunk holds at most _TABLE entries, so memory does not grow with
+    n_steps; only the forcing column changes from chunk to chunk. A run
+    that fits one chunk is tabulated once, for every block of paths.
+    """
+
+    def __init__(self, sde: LinearSde, h: float, n_steps: int):
+        d, m = sde.d, sde.m
+        self.sde, self.h, self.sqrt_h, self.n_steps = sde, h, np.sqrt(h), n_steps
+        rows = (1 + m) * d + 1
+        self.size = min(n_steps, max(1, _TABLE // (rows * (d + 1))))
+        G = self.G = np.zeros((self.size, rows, d + 1))
+        G[:, :d, :d] = np.eye(d) + h * sde.A
+        G[:, d, d] = 1.0
+        G[:, d + 1:, :d] = self.sqrt_h * sde.B.reshape(m * d, d)
+        self.lo = None  # the first step of the chunk G holds
+
+    def chunk(self, lo: int) -> np.ndarray:
+        """G_s for s = lo, lo + 1, ..., at most ``size`` of them."""
+        sde, d = self.sde, self.sde.d
+        hi = min(lo + self.size, self.n_steps)
+        G = self.G[:hi - lo]
+        if lo != self.lo:
+            t = sde.t0 + np.arange(lo, hi) * self.h
+            G[:, :d, d] = self.h * sde.drift_forcing(t[:, None])
+            G[:, d + 1:, d] = (self.sqrt_h * sde.noise_forcing(t[:, None, None])
+                               ).reshape(hi - lo, sde.m * d)
+            self.lo = lo
+        return G
+
+
 def _simulate(sde: LinearSde, x: np.ndarray, dW: np.ndarray, h: float,
-              n_steps: int) -> np.ndarray:
-    sqrt_h = np.sqrt(h)
-    for step in range(n_steps):
-        tk = sde.t0 + step * h
-        incr = (x @ sde.A.T + sde.drift_forcing(tk)) * h
-        if sde.m:
-            b_t = sde.noise_forcing(tk)
-            for i in range(sde.m):
-                incr = incr + ((x @ sde.B[i].T + b_t[i])
-                               * (sqrt_h * dW[:, step, i])[:, None])
-        x = x + incr
-    return x
+              n_steps: int, steps: _StepMatrices | None = None) -> np.ndarray:
+    """Euler-Maruyama endpoints, (k, d), of the k initial states x under
+    the standard normal increments dW, (k, n_steps, m).
+
+    Paths run along the last, contiguous axis, so that each numpy call of
+    a step spans every path. A path's column is z = [x; 1; y_1; ...; y_m],
+    and step s at t_s = t0 + s h is one product z' = G_s z with
+
+        G_s = [[I + h A,       h a(t_s)        ],
+               [0,             1               ],
+               [sqrt(h) B_i,   sqrt(h) b_i(t_s)]]   (a row block per channel)
+
+    followed by x' += y_i' dW_i for each channel i. Two buffers of the k
+    columns z take turns as the product's input and output. A path's
+    arithmetic does not depend on the other paths. ``steps`` passes the
+    G_s of this sde, h and n_steps in, to share them between blocks.
+    """
+    d, m, k = sde.d, sde.m, x.shape[0]
+    if steps is None:
+        steps = _StepMatrices(sde, h, n_steps)
+    z = np.empty((2, steps.G.shape[1], k))
+    z[0, :d] = x.T
+    z[0, d] = 1.0
+    # per buffer: the whole, the product's input [x; 1], x, and the y_i
+    views = [(b, b[:d + 1], b[:d], list(b[d + 1:].reshape(m, d, k))) for b in z]
+    for lo in range(0, n_steps, steps.size):
+        for step, G in enumerate(steps.chunk(lo), start=lo):
+            z_in = views[step % 2][1]
+            z_out, _, x_out, noise = views[1 - step % 2]
+            np.matmul(G, z_in, out=z_out)
+            for i in range(m):
+                noise[i] *= dW[:, step, i]
+                x_out += noise[i]
+    return views[n_steps % 2][2].T
 
 
 def _stats(x: np.ndarray, d: int) -> np.ndarray:
@@ -195,13 +251,14 @@ def euler_maruyama_mc(sde: LinearSde, state: MomentState, t: float,
 
     L = d + n_steps * m
     rows = min(_CHUNK, max(1, 2 ** 22 // L))  # at most 2^22 draws (32 MiB) a block
+    steps = _StepMatrices(sde, h, n_steps)
     for lo in range(0, config.n_paths, rows):
         k = min(rows, config.n_paths - lo)
         # C order: row j holds path lo + j's draws, consecutive in the stream
         draws = rng.standard_normal((k, L))
         x0 = state.m0 + draws[:, :d] @ factor.T
         dW = draws[:, d:].reshape(k, n_steps, m)
-        acc.add(_stats(_simulate(sde, x0, dW, h, n_steps), d))
+        acc.add(_stats(_simulate(sde, x0, dW, h, n_steps, steps), d))
 
     if not np.all(np.isfinite(acc.mean)):
         raise RuntimeError("simulation produced non-finite sample moments; "

@@ -39,6 +39,34 @@ def random_stable_model(rng, d, kind, m=None):
     return sde, random_state(rng, d)
 
 
+def stiff_model(rng, d):
+    """Random stiff, non-normal model with its state and horizon tau.
+
+    A = V diag(-lambda) V^-1, lambda log-uniform in [1e-2, 10^k] with
+    k ~ U(0, 3), and V = I + c (strictly upper Gaussian) with c ~ U(0, 1.5).
+    m is 0, 1 or 2; the class is non-autonomous, autonomous multiplicative
+    or additive with equal weight. B is Gaussian times 10^U(-3, 1) / sqrt(d),
+    the forcings and m0 standard normal, P0 = G G^T / 2 + m0 m0^T, and
+    tau = 10^U(-1, 2).
+    """
+    m = int(rng.integers(0, 3))
+    kind = CLASSES[int(rng.integers(0, 3))]
+    lam = 10.0 ** rng.uniform(-2.0, rng.uniform(0.0, 3.0), d)
+    V = np.eye(d) + rng.uniform(0.0, 1.5) * np.triu(rng.standard_normal((d, d)), 1)
+    A = V @ np.diag(-lam) @ np.linalg.inv(V)
+    B = rng.standard_normal((m, d, d)) * 10.0 ** rng.uniform(-3.0, 1.0) / np.sqrt(d)
+    a0, b0 = rng.standard_normal(d), rng.standard_normal((m, d))
+    if kind == "non_autonomous":
+        sde = LinearSde(d=d, m=m, A=A, a0=a0, a1=rng.standard_normal(d), B=B,
+                        b0=b0, b1=rng.standard_normal((m, d)))
+    else:
+        sde = LinearSde(d=d, m=m, A=A, a0=a0, b0=b0,
+                        B=B if kind == "autonomous_multiplicative" else None)
+    m0, G = rng.standard_normal(d), rng.standard_normal((d, d))
+    P0 = 0.5 * (G @ G.T) + np.outer(m0, m0)
+    return sde, MomentState(m0=m0, P0=(P0 + P0.T) / 2.0), 10.0 ** rng.uniform(-1.0, 2.0)
+
+
 def random_state(rng, d):
     """Random valid MomentState: P0 = 0.5 G G^T + m0 m0^T."""
     m0 = rng.uniform(-1.0, 1.0, d)
@@ -112,16 +140,16 @@ def reference_grid(sde, state, step, n_steps, method, formulation=None):
     checks against M @ x, through a plain callable, so that it builds a
     Krylov basis of its own rather than continue the one the engine keeps
     on the system. Below vec(P), M is [0, flow], so on the action route the
-    tail of each point, which holds the mean, steps by e^{flow step}."""
+    mean's block of flow steps by its own exponential."""
     aug = assemble(sde, state, formulation)
     d = aug.d
     if method == "action":
         points = list(expm_action(lambda x: aug.apply(x), aug.u, step, n_steps))
-        dd = d * d
-        E = expm(aug.M[dd:, dd:], step)
-        tail = aug.u[dd:]
+        block = aug.mean_block
+        E = expm(aug.M[block, block], step)
+        flow = aug.u[block]
         for x in points:
-            x[dd:] = tail = E @ tail
+            x[block] = flow = E @ flow
     elif aug.u is None:
         s = _squarings(np.linalg.norm(aug.M * step, 1))
         E = expm(aug.M, math.ldexp(step, -s))

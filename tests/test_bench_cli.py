@@ -206,6 +206,23 @@ def test_cli_usage_error():
     assert excinfo.value.code == 2
 
 
+def test_cli_main_serves_call_after_call(ou_file, capsys):
+    # the parser is built once and kept: a repeated call prints what the
+    # first did, and refused calls leave it serving the next one
+    args = ["moments", ou_file, "--t", "0.5,1.0", "--secmom"]
+    assert main(args) == 0
+    first = capsys.readouterr().out
+    assert main(args) == 0
+    assert capsys.readouterr().out == first
+    assert main(["moments", ou_file, "--t", "one"]) == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["moments", ou_file])  # no --t
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_cli_validate_passes(ou_file, capsys):
     assert main(["validate", ou_file, "--t", "1.0",
                  "--rk4-steps", "4000"]) == 0

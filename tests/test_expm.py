@@ -220,6 +220,19 @@ def test_action_full_basis_is_exact():
     np.testing.assert_allclose(got, want, rtol=1e-8)
 
 
+def test_action_full_basis_after_an_inner_overflow_is_not_trusted():
+    # strongly non-normal: e^(H_8 t) overflows, and the full basis of
+    # m = n = 12 gives max 4.9e192 where e^(a t) v peaks at 26.3
+    n = 12
+    a = -np.diag(np.arange(1.0, n + 1.0)) + 100.0 * np.eye(n, k=1)
+    v = np.ones(n)
+    assert np.abs(expm(a, 30.0) @ v).max() == pytest.approx(26.3046, rel=1e-5)
+    with pytest.raises(ExpmConvergenceError) as excinfo:
+        expm_action(a, v, 30.0)
+    assert excinfo.value.residual == math.inf
+    assert "within 12 iterations" in str(excinfo.value)
+
+
 def test_action_checkpoints_bound_inner_exponentials(monkeypatch):
     # n = 295 at t = 10 needs well over 60 basis vectors; exponentiating the
     # projected matrix at every step would cost one inner expm per vector,

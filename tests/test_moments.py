@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import importlib
 import itertools
+import math
 import sys
 import tracemalloc
 import warnings
@@ -20,10 +21,11 @@ from sdemoments import (ExpmConvergenceError, ExpmError, ExpmOptions,
 from sdemoments.moments import (_DENSE_LIMIT, _wants_action, build_beta, build_C,
                                 build_calA, build_script_B, make_result)
 from support import (CLASSES, ito_closure_moments, random_stable_model,
-                     random_state, reference_grid, rel_diff)
+                     random_state, reference_grid, rel_diff, stiff_model)
 
 moments_module = importlib.import_module("sdemoments.moments")
 oracle_module = importlib.import_module("sdemoments.oracle")
+expm_module = importlib.import_module("sdemoments.expm")
 
 
 def test_calA_scalar_reduction():
@@ -163,6 +165,7 @@ def test_assemble_block_structure():
     assert aug.u[-1] == 1.0
     np.testing.assert_array_equal(aug.u[dd + w:dd + 2 * w], np.eye(w)[-1])
     assert aug.mean_slice == slice(dd + w, dd + w + d)
+    assert aug.mean_block == slice(dd + w, dd + 2 * w)
 
 
 def _kronecker_assembly(sde, state, formulation):
@@ -288,6 +291,14 @@ def test_assemble_matches_kronecker_construction():
                     assert aug.M.shape == M.shape
                     assert rel_diff(aug.M, M) <= 1e-15
                     assert rel_diff(aug.u, u) <= 1e-15
+                    # the mean's block, of size d + 2, holds the mean and
+                    # its rows see no column outside it
+                    block, mean = aug.mean_block, aug.mean_slice
+                    assert block.stop - block.start == d + 2
+                    assert block.start <= mean.start < mean.stop <= block.stop
+                    outside = np.ones(aug.n, dtype=bool)
+                    outside[block] = False
+                    np.testing.assert_array_equal(aug.M[block][:, outside], 0.0)
 
 
 def test_assemble_formulation_validation():
@@ -794,6 +805,28 @@ def test_default_route_falls_back_to_dense_where_krylov_fails():
     grid_dense = propagate_grid(sde, state, 1.0, 2, options=dense)
     for got, want in zip(grid, grid_dense):
         np.testing.assert_array_equal(got.secmom, want.secmom)
+
+
+def test_inner_overflow_below_the_cap_grows_the_basis(monkeypatch):
+    # a stiff, non-normal model from the fuzz recipe (d = 3, m = 2, n = 22):
+    # a spurious Ritz value of the 8-vector basis overflows e^(H_8 tau),
+    # though the moments (second moment 6e254) are finite. The basis
+    # is not exact, so it is not converged: the basis grows and meets
+    # the dense route
+    rng = np.random.default_rng(938)
+    sde, state, tau = stiff_model(rng, int(rng.integers(2, 7)))
+    t = sde.t0 + tau
+    action = ExpmOptions(method="action")
+    got = moments_at(sde, state, t, options=action)
+    want = moments_at(sde, state, t, options=ExpmOptions(method="dense"))
+    assert rel_diff(got.mean, want.mean) < 1e-12
+    assert rel_diff(got.secmom, want.secmom) < 1e-12
+    # with the cap at that basis, the overflow is a convergence failure,
+    # the error on which the default route falls back to dense
+    monkeypatch.setattr(expm_module, "_MAX_KRYLOV", 8)
+    with pytest.raises(ExpmConvergenceError) as excinfo:
+        moments_at(sde, state, t, options=action)
+    assert excinfo.value.residual == math.inf
 
 
 def test_action_grid_takes_one_krylov_basis(monkeypatch):

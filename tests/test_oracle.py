@@ -194,6 +194,21 @@ def test_mc_blocks_are_capped_in_draws_as_well_as_paths(monkeypatch):
     np.testing.assert_allclose(mc.secmom, x.T @ x / n_paths, rtol=1e-12)
 
 
+def _per_path(sde, x0, dW, h, n_steps):
+    """Euler-Maruyama endpoints of each path stepped on its own, as the
+    scheme is written: x += (A x + a(t)) h + sum_i (B_i x + b_i(t)) sqrt(h) dW_i."""
+    finals = []
+    for x, dw in zip(x0, dW):
+        for step in range(n_steps):
+            tk = sde.t0 + step * h
+            b_t = sde.noise_forcing(tk)
+            x = (x + (sde.A @ x + sde.drift_forcing(tk)) * h
+                 + sum((sde.B[i] @ x + b_t[i]) * (np.sqrt(h) * dw[step, i])
+                       for i in range(sde.m)))
+        finals.append(x)
+    return np.array(finals)
+
+
 def test_mc_matches_documented_stream_layout():
     # path j reads draws j L .. (j + 1) L - 1 of default_rng(seed), with
     # L = d + n_steps m: d for the initial state, then dW step by step
@@ -203,23 +218,43 @@ def test_mc_matches_documented_stream_layout():
     t = sde.t0 + 0.4
     h = (t - sde.t0) / n_steps
     draws = np.random.default_rng(seed).standard_normal((n_paths, d + n_steps * m))
-    factor = _initial_factor(state)
-    finals = []
-    for z in draws:
-        x = state.m0 + factor @ z[:d]
-        for step in range(n_steps):
-            tk = sde.t0 + step * h
-            dw = np.sqrt(h) * z[d + step * m:d + (step + 1) * m]
-            b_t = sde.noise_forcing(tk)
-            x = (x + (sde.A @ x + sde.drift_forcing(tk)) * h
-                 + sum((sde.B[i] @ x + b_t[i]) * dw[i] for i in range(m)))
-        finals.append(x)
-    finals = np.array(finals)
+    x0 = [state.m0 + _initial_factor(state) @ z[:d] for z in draws]
+    finals = _per_path(sde, x0, draws[:, d:].reshape(n_paths, n_steps, m), h, n_steps)
     mc = euler_maruyama_mc(sde, state, t, McConfig(n_paths, n_steps, seed))
     np.testing.assert_allclose(mc.mean, finals.mean(axis=0),
                                rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(mc.secmom, finals.T @ finals / n_paths,
                                rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("d, m", [(1, 3), (3, 0), (4, 2)])
+def test_simulate_matches_a_per_path_loop(monkeypatch, d, m):
+    # the paths-last block, which folds h and sqrt(h) into its product,
+    # gives each path what stepping it alone gives, to rounding; so do
+    # blocks of 7 paths, which divide neither n_paths nor 1024
+    rng = np.random.default_rng(68 + d)
+    sde, state = random_stable_model(rng, d, "non_autonomous", m=m)
+    n_paths, n_steps, seed = 30, 25, 13
+    t = sde.t0 + 0.5
+    h = (t - sde.t0) / n_steps
+    draws = np.random.default_rng(seed).standard_normal((n_paths, d + n_steps * m))
+    x0 = state.m0 + draws[:, :d] @ _initial_factor(state).T
+    dW = draws[:, d:].reshape(n_paths, n_steps, m)
+    want = _per_path(sde, x0, dW, h, n_steps)
+    atol = 1e-12 * np.abs(want).max()
+    np.testing.assert_allclose(_simulate(sde, x0, dW, h, n_steps), want,
+                               rtol=1e-12, atol=atol)
+    monkeypatch.setattr("sdemoments.oracle._CHUNK", 7)
+    mc = euler_maruyama_mc(sde, state, t, McConfig(n_paths, n_steps, seed))
+    np.testing.assert_allclose(mc.mean, want.mean(axis=0), rtol=1e-12, atol=atol)
+    np.testing.assert_allclose(mc.secmom, want.T @ want / n_paths, rtol=1e-12,
+                               atol=atol * np.abs(want).max())
+    # step matrices tabulated 4 steps at a time, which divides neither
+    # n_steps nor the blocks' count, and refilled for each block: the same bits
+    monkeypatch.setattr("sdemoments.oracle._TABLE", 4 * ((1 + m) * d + 1) * (d + 1))
+    chunked = euler_maruyama_mc(sde, state, t, McConfig(n_paths, n_steps, seed))
+    np.testing.assert_array_equal(chunked.mean, mc.mean)
+    np.testing.assert_array_equal(chunked.secmom, mc.secmom)
 
 
 def test_mc_zero_noise_collapses():
